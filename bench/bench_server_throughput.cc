@@ -252,7 +252,6 @@ ProfileResult RunProfile(const FilebenchProfile& profile, const std::string& bac
   const std::string sock_path =
       "/tmp/atomfs_bench_" + std::to_string(getpid()) + "_" + profile.name + ".sock";
   ServerOptions options;
-  options.workers = clients;
   options.metrics = &server_registry;
   if (transport == "tcp") {
     options.tcp_listen = true;  // ephemeral port
@@ -412,7 +411,6 @@ OverheadOutcome RunPairedSliceExperiment(FileSystem* fs_a_raw, FileSystem* fs_b_
   auto start_side = [&](Side& side, FileSystem* fs, MetricsRegistry* registry,
                         const std::string& suffix) {
     ServerOptions options;
-    options.workers = clients;
     options.metrics = registry;
     if (transport == "tcp") {
       options.tcp_listen = true;
@@ -1101,7 +1099,6 @@ void RunTxnExperiment(JsonWriter& json, int connections, double seconds) {
   const std::string sock_path =
       "/tmp/atomfs_bench_txn_" + std::to_string(getpid()) + ".sock";
   ServerOptions options;
-  options.workers = connections;
   options.unix_path = sock_path;
   options.txn = &txn;
   AtomFsServer server(&txn, options);

@@ -88,6 +88,9 @@ void AtomFs::LockInode(Inode* node, LockPathRole role) {
     return;
   }
   node->lock->Lock();
+  if (opts_.enable_rcu_walk) {
+    node->held.store(true, std::memory_order_relaxed);
+  }
   if (opts_.observer != nullptr) {
     opts_.observer->OnLockAcquired(CurrentTid(), node->ino, role);
   }
@@ -103,6 +106,9 @@ void AtomFs::UnlockInode(Inode* node) {
   // park them *after* the lock is actually free, which is what the paper's
   // interleavings require.
   const Inum ino = node->ino;
+  if (opts_.enable_rcu_walk) {
+    node->held.store(false, std::memory_order_relaxed);
+  }
   node->lock->Unlock();
   if (opts_.observer != nullptr) {
     opts_.observer->OnLockReleased(CurrentTid(), ino);
@@ -293,19 +299,36 @@ Inode* AtomFs::OptimisticAttempt(const Path& path) {
       opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kSkipped,
                                         static_cast<uint32_t>(chain.size()));
     }
+    ObserveLp();
     return cur;
   }
-  for (const Rec& r : chain) {
-    if (r.node->version.load(std::memory_order_acquire) != r.version) {
-      Inode* const locked = cur;
-      Inode* const result = fail();
-      UnlockInode(locked);
-      return result;
-    }
+  auto chain_current = [&chain, cur] {
+    return std::all_of(chain.begin(), chain.end(), [cur](const Rec& r) {
+      return r.node->version.load(std::memory_order_acquire) == r.version &&
+             (r.node == cur || !r.node->held.load(std::memory_order_acquire));
+    });
+  };
+  if (!chain_current()) {
+    Inode* const locked = cur;
+    Inode* const result = fail();
+    UnlockInode(locked);
+    return result;
   }
-  if (opts_.observer != nullptr) {
-    opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kPass,
-                                      static_cast<uint32_t>(chain.size()));
+  if (opts_.observer == nullptr) {
+    return cur;
+  }
+  opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kPass,
+                                    static_cast<uint32_t>(chain.size()));
+  // The read linearizes at the validation above, but an observer records
+  // that LP only now; a mutation of the chain may have recorded its own LP
+  // in between. Every mutation bumps its versions before its LP, so a chain
+  // that is still current after our LP rules that out; otherwise withdraw
+  // the LP and retry (docs/CONCURRENCY.md §5).
+  ObserveLp();
+  if (!chain_current()) {
+    opts_.observer->OnOptWalkRetract(CurrentTid());
+    UnlockInode(cur);
+    return nullptr;
   }
   return cur;
 }
@@ -731,6 +754,7 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
 Result<Attr> AtomFs::Stat(const Path& path) {
   ObserveBegin(OpCall::StatOf(path));
   Inode* node = opts_.enable_rcu_walk ? TryOptimisticResolve(path) : nullptr;
+  const bool linearized = node != nullptr;  // an optimistic read's LP is its validation
   if (node == nullptr) {
     auto target = ResolveTargetLocked(path);
     if (!target.ok()) {
@@ -746,7 +770,9 @@ Result<Attr> AtomFs::Stat(const Path& path) {
   attr.ino = node->ino;
   attr.type = node->type;
   attr.size = node->type == FileType::kDir ? node->dir.size() : node->data.size();
-  ObserveLp();
+  if (!linearized) {
+    ObserveLp();
+  }
   UnlockInode(node);
   OpResult r;
   r.attr = attr;
@@ -757,6 +783,7 @@ Result<Attr> AtomFs::Stat(const Path& path) {
 Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
   ObserveBegin(OpCall::ReadDirOf(path));
   Inode* node = opts_.enable_rcu_walk ? TryOptimisticResolve(path) : nullptr;
+  const bool linearized = node != nullptr;  // an optimistic read's LP is its validation
   if (node == nullptr) {
     auto target = ResolveTargetLocked(path);
     if (!target.ok()) {
@@ -768,7 +795,9 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
     node = *target;
   }
   if (node->type != FileType::kDir) {
-    ObserveLp();
+    if (!linearized) {
+      ObserveLp();
+    }
     UnlockInode(node);
     OpResult r;
     r.status = Status(Errc::kNotDir);
@@ -783,7 +812,9 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
   opts_.executor->Work(opts_.costs.readdir_entry_ns * (entries.size() + 1));
   std::sort(entries.begin(), entries.end(),
             [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
-  ObserveLp();
+  if (!linearized) {
+    ObserveLp();
+  }
   UnlockInode(node);
   OpResult r;
   r.entries = entries;
@@ -794,6 +825,7 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
 Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::byte> out) {
   ObserveBegin(OpCall::ReadOf(path, offset, out.size()));
   Inode* node = opts_.enable_rcu_walk ? TryOptimisticResolve(path) : nullptr;
+  const bool linearized = node != nullptr;  // an optimistic read's LP is its validation
   if (node == nullptr) {
     auto target = ResolveTargetLocked(path);
     if (!target.ok()) {
@@ -805,7 +837,9 @@ Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::by
     node = *target;
   }
   if (node->type != FileType::kFile) {
-    ObserveLp();
+    if (!linearized) {
+      ObserveLp();
+    }
     UnlockInode(node);
     OpResult r;
     r.status = Status(Errc::kIsDir);
@@ -814,7 +848,9 @@ Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::by
   }
   const size_t n = node->data.Read(offset, out);
   opts_.executor->Work(opts_.costs.block_copy_ns * (FileData::BlocksSpanned(offset, n) + 1));
-  ObserveLp();
+  if (!linearized) {
+    ObserveLp();
+  }
   UnlockInode(node);
   OpResult r;
   r.nbytes = n;

@@ -161,14 +161,17 @@ class AtomFs : public FileSystem {
 
   // Attempts up to rcu_walk_max_retries optimistic resolutions of `path`.
   // On success returns the target inode LOCKED (role kOptTarget) with its
-  // version chain validated (or validation skipped under the unsafe hook);
+  // version chain validated (or validation skipped under the unsafe hook)
+  // and the op's LP already observed — the caller must not observe another;
   // returns nullptr after emitting OnOptWalkFallback when every attempt
   // failed — the caller then runs the ordinary lock-coupled walk. Never
   // reports errors: a lock-free miss may be transient, so only the locked
   // walk is allowed to decide ENOENT/ENOTDIR.
   Inode* TryOptimisticResolve(const Path& path);
   // One attempt: lock-free traverse recording (node, version) pairs, lock
-  // the target, validate. Emits exactly one OnOptWalkValidate.
+  // the target, validate, observe the LP. Emits exactly one
+  // OnOptWalkValidate; a pass is followed by OnLp and, when the chain moved
+  // before that LP was recorded, by OnOptWalkRetract.
   Inode* OptimisticAttempt(const Path& path);
 
   // Seqlock write protocol (docs/CONCURRENCY.md §3): callers hold `node`'s

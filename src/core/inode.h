@@ -26,6 +26,12 @@ struct Inode {
 
   const Inum ino;
   const FileType type;
+  // Set while a thread holds `lock` (maintained only with the optimistic walk
+  // on). A held ancestor may carry a helped operation whose abstract effect
+  // already happened and whose concrete one is still to come, so an
+  // optimistic reader must not validate through it (docs/CONCURRENCY.md §5).
+  // Sits in the padding after `type`, so an Inode stays two cache lines.
+  std::atomic<bool> held{false};
   const std::unique_ptr<Lockable> lock;
 
   // Seqlock version (docs/CONCURRENCY.md §3). Written ONLY while this

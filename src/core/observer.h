@@ -78,15 +78,20 @@ class FsObserver {
   // Optimistic (RCU-style) walk lifecycle. One OnOptWalkStart per traversal
   // attempt, answered by exactly one OnOptWalkValidate with the attempt's
   // outcome (`depth` = number of (node, version) pairs in the validated
-  // chain). OnOptWalkFallback fires once when the op abandons the optimistic
-  // path for the lock-coupled walk. Emitted while holding only the target
-  // inode's lock (validate) or no lock at all (start/fallback).
+  // chain). A passed validation is the read's linearization point, so OnLp
+  // follows it at once. OnOptWalkRetract withdraws that LP when the chain
+  // moved before the LP was recorded (docs/CONCURRENCY.md §5); the op then
+  // retries, so a retracted attempt counts as a failed one. OnOptWalkFallback
+  // fires once when the op abandons the optimistic path for the lock-coupled
+  // walk. Emitted while holding only the target inode's lock
+  // (validate/retract) or no lock at all (start/fallback).
   virtual void OnOptWalkStart(Tid tid) { (void)tid; }
   virtual void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) {
     (void)tid;
     (void)outcome;
     (void)depth;
   }
+  virtual void OnOptWalkRetract(Tid tid) { (void)tid; }
   virtual void OnOptWalkFallback(Tid tid) { (void)tid; }
 };
 
@@ -123,6 +128,10 @@ class TeeObserver : public FsObserver {
   void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) override {
     first_->OnOptWalkValidate(tid, outcome, depth);
     second_->OnOptWalkValidate(tid, outcome, depth);
+  }
+  void OnOptWalkRetract(Tid tid) override {
+    first_->OnOptWalkRetract(tid);
+    second_->OnOptWalkRetract(tid);
   }
   void OnOptWalkFallback(Tid tid) override {
     first_->OnOptWalkFallback(tid);

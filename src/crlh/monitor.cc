@@ -287,6 +287,34 @@ void CrlhMonitor::OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t dep
   d.opt_validated = outcome == OptValidation::kPass;
 }
 
+void CrlhMonitor::OnOptWalkRetract(Tid tid) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++seq_;
+  auto it = pool_.find(tid);
+  if (it == pool_.end()) {
+    Violation("optimistic retract by thread " + std::to_string(tid) + " with no op in flight");
+    return;
+  }
+  Descriptor& d = it->second;
+  const OpKind kind = d.call.kind;
+  const bool read_only = kind == OpKind::kStat || kind == OpKind::kReadDir || kind == OpKind::kRead;
+  if (!d.optimistic || !d.lp_passed || d.state != AopState::kDone || d.helper != 0 ||
+      !read_only) {
+    Violation("thread " + std::to_string(tid) +
+              " retracted an LP that is not a linearized optimistic read");
+    return;
+  }
+  // A read's abstract operation left the abstract state as it was, so
+  // forgetting its result undoes the LP completely.
+  d.lp_passed = false;
+  d.has_abs_result = false;
+  d.abs_result = OpResult{};
+  d.state = AopState::kPending;
+  d.opt_validated = false;
+  d.lp_seq = 0;
+  d.abs_seq = 0;
+}
+
 void CrlhMonitor::OnOptWalkFallback(Tid tid) {
   std::lock_guard<std::mutex> lk(mu_);
   ++seq_;

@@ -99,6 +99,9 @@ class CrlhMonitor : public FsObserver {
   // reader must have a passed validation by its LP) can be checked instead.
   void OnOptWalkStart(Tid tid) override;
   void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) override;
+  // Undoes the LP of a read-only optimistic op whose chain moved before its
+  // LP was recorded; the op linearizes again on its retry.
+  void OnOptWalkRetract(Tid tid) override;
   void OnOptWalkFallback(Tid tid) override;
 
   // --- verdicts --------------------------------------------------------------

@@ -264,6 +264,12 @@ void TracingObserver::OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t
   Emit(e);
 }
 
+// A retracted pass is an attempt that did not produce the read: count and
+// trace it as the failed validation it turned out to be.
+void TracingObserver::OnOptWalkRetract(Tid tid) {
+  OnOptWalkValidate(tid, OptValidation::kFail, 0);
+}
+
 void TracingObserver::OnOptWalkFallback(Tid tid) {
   rcu_fallbacks_.Inc();
   if (ring_ == nullptr) {

@@ -76,6 +76,7 @@ class TracingObserver : public FsObserver, public CrlhObsSink {
   void OnLp(Tid tid, Inum created_ino) override;
   void OnOptWalkStart(Tid tid) override;
   void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) override;
+  void OnOptWalkRetract(Tid tid) override;
   void OnOptWalkFallback(Tid tid) override;
 
   // CrlhObsSink (called by CrlhMonitor with the ghost mutex held).

@@ -13,6 +13,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -162,62 +164,53 @@ void SetNonBlocking(int fd) {
 
 }  // namespace
 
-// One decoded request unit awaiting execution. A poison item marks the spot
-// in the pipeline where framing broke: it is answered with kProto, in order,
-// and closes the connection behind it.
-struct ConnReadyItem {
-  WireRequest req;
-  bool poison = false;
-};
-
-// Per-connection state. Loop-owned fields are touched only by the owning
-// shard thread; fields below `mu` are the loop<->worker handoff.
+// Per-connection state, owned by the connection's shard thread.
 struct AtomFsServer::Conn {
   explicit Conn(FileSystem* fs) : vfs(fs) {}
 
-  uint64_t id = 0;
   int fd = -1;
-  Shard* shard = nullptr;
-  Vfs vfs;  // per-connection descriptor table; touched by one worker at a time
-  // Open transaction id (0 = none). Same ownership as `vfs`: requests for
-  // one connection execute on one worker at a time, and teardown reads it
-  // only after the worker handoff (exec_scheduled) has quiesced.
-  uint64_t active_txn = 0;
+  Vfs vfs;                  // per-connection descriptor table
+  uint64_t active_txn = 0;  // open transaction id (0 = none)
 
-  // Loop-owned.
   std::vector<std::byte> rbuf;
   size_t rpos = 0;
   bool peer_eof = false;
   bool poisoned = false;  // framing broke; never read or decode again
   bool stalled = false;   // decode parked on a full window (metric edge)
-  // A parsed frame waiting for window room (kept parsed so re-admission
-  // after replies drain costs nothing); decode stalls while this is set.
+  // A parsed frame waiting for window room (kept parsed so admitting it in
+  // the next drain costs nothing); decode stalls while this is set.
   std::unique_ptr<WireRequest> parked;
   uint32_t parked_units = 0;
+  bool runnable = false;  // on Shard::runnable, owed another window
   uint32_t armed_mask = 0;
   uint64_t last_activity_ms = 0;
-  size_t out_head_off = 0;  // bytes of outbox.front() already written
 
-  // Shared loop<->worker state.
-  std::mutex mu;
-  std::deque<ConnReadyItem> ready;
   std::deque<std::vector<std::byte>> outbox;  // framed replies, FIFO
   size_t outbox_bytes = 0;
-  uint32_t inflight = 0;  // admitted request units without a reply in the outbox
-  uint32_t window = 1;    // negotiated max_inflight
-  bool exec_scheduled = false;
-  bool want_close = false;  // drain ready+outbox, then close
-  bool dead = false;        // transport broken; close as soon as no worker holds us
+  size_t out_head_off = 0;  // bytes of outbox.front() already written
+  uint32_t window = 1;      // negotiated max_inflight
+  bool want_close = false;  // flush the outbox, then close
+  bool dead = false;        // transport broken; close now
+
+  // Queues one reply frame behind the earlier ones.
+  void Reply(std::span<const std::byte> payload) {
+    outbox.push_back(FrameOf(payload));
+    outbox_bytes += outbox.back().size();
+  }
 };
 
 struct AtomFsServer::Shard {
   int epoll_fd = -1;
-  int event_fd = -1;
+  int event_fd = -1;  // wakes the loop for intake and for Stop
   std::atomic<bool> stop{false};
-  std::mutex mu;                       // guards intake + completions
-  std::vector<int> intake;             // accepted sockets awaiting registration
-  std::vector<uint64_t> completions;   // conn ids with fresh worker output
-  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;  // loop-owned
+  std::mutex mu;            // guards intake
+  std::vector<int> intake;  // accepted sockets awaiting registration
+  std::unordered_map<Conn*, std::unique_ptr<Conn>> conns;  // loop-owned
+  // Connections whose window filled with a frame still parked: each gets one
+  // more window per loop turn, after that turn's readiness events. `turn`
+  // holds the ones being served now (a destroyed one is nulled in place).
+  std::vector<Conn*> runnable;
+  std::vector<Conn*> turn;
 };
 
 AtomFsServer::AtomFsServer(FileSystem* fs, ServerOptions options)
@@ -234,7 +227,6 @@ AtomFsServer::AtomFsServer(FileSystem* fs, ServerOptions options)
   backpressure_stalls_ = metrics_->GetCounter("server.backpressure_stalls");
   idle_timeouts_ = metrics_->GetCounter("server.idle_timeouts");
   active_conns_ = metrics_->GetGauge("server.conns.active");
-  work_queue_depth_ = metrics_->GetGauge("server.work_queue.depth");
   exec_batch_size_ = metrics_->GetHistogram("server.worker.batch_size");
   for (uint8_t op = kWireOpMin; op <= kWireOpMax; ++op) {
     op_latency_[op] = metrics_->GetHistogram(
@@ -311,14 +303,9 @@ Status AtomFsServer::Start() {
     shards_.push_back(std::move(shard));
   }
 
-  stopping_ = false;
   running_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
     shard_threads_.emplace_back([this, s = shard.get()] { ShardLoop(*s); });
-  }
-  const int workers = opts_.workers > 0 ? opts_.workers : 1;
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
   }
   for (int fd : listen_fds_) {
     acceptors_.emplace_back([this, fd] { AcceptLoop(fd); });
@@ -327,12 +314,8 @@ Status AtomFsServer::Start() {
 }
 
 void AtomFsServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    if (!running_.load(std::memory_order_acquire) && listen_fds_.empty() && shards_.empty()) {
-      return;
-    }
-    stopping_ = true;
+  if (!running_.load(std::memory_order_acquire) && listen_fds_.empty() && shards_.empty()) {
+    return;
   }
   // Closing the listeners makes accept() fail and the acceptors exit.
   for (int fd : listen_fds_) {
@@ -344,13 +327,6 @@ void AtomFsServer::Stop() {
     t.join();
   }
   acceptors_.clear();
-  // Workers next: once they are joined, nobody but the shard threads can
-  // touch a Conn, so the shards can tear their connections down safely.
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    t.join();
-  }
-  workers_.clear();
   for (auto& shard : shards_) {
     shard->stop.store(true, std::memory_order_release);
     if (shard->event_fd >= 0) {
@@ -362,17 +338,9 @@ void AtomFsServer::Stop() {
     t.join();
   }
   shard_threads_.clear();
-  {
-    // Only now is the queue quiescent: shard threads were the last producers
-    // (MaybeSchedule), and they are joined. The lock still pairs with
-    // MaybeSchedule's stopping_ check for any straggler between the flag
-    // flip and the joins above.
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_queue_depth_.Sub(static_cast<int64_t>(work_queue_.size()));
-    work_queue_.clear();
-  }
+  // With the shard threads joined nothing else touches a connection.
   for (auto& shard : shards_) {
-    for (auto& [id, c] : shard->conns) {
+    for (auto& [ptr, c] : shard->conns) {
       if (opts_.txn != nullptr && c->active_txn != 0) {
         opts_.txn->TxAbort(c->active_txn);  // never leave a txn half-open
       }
@@ -413,15 +381,9 @@ void AtomFsServer::AcceptLoop(int listen_fd) {
     const int one = 1;
     setsockopt(sock, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     connections_accepted_.Inc();
-    {
-      std::lock_guard<std::mutex> lock(work_mu_);
-      if (stopping_) {
-        close(sock);
-        return;
-      }
-    }
     // Relaxed: the counter only round-robins placement; the socket itself is
-    // handed over under shard.mu below.
+    // handed over under shard.mu below. A socket accepted while Stop() runs
+    // lands in an intake list that Stop() closes once the shards are joined.
     Shard& shard =
         *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size()];
     {
@@ -440,22 +402,26 @@ void AtomFsServer::ShardLoop(Shard& shard) {
   const int timeout_ms =
       opts_.idle_timeout_ms > 0 ? std::max(1, static_cast<int>(opts_.idle_timeout_ms / 4)) : -1;
   for (;;) {
-    const int n = epoll_wait(shard.epoll_fd, evs, 64, timeout_ms);
+    // Owed windows make this turn a poll: fresh readiness interleaves with
+    // them instead of waiting behind a connection that pipelines past its
+    // window.
+    const int wait_ms = shard.runnable.empty() ? timeout_ms : 0;
+    const int n = epoll_wait(shard.epoll_fd, evs, 64, wait_ms);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return;
     }
-    loop_wakeups_.Inc();
+    if (n > 0 || wait_ms != 0) {
+      loop_wakeups_.Inc();
+    }
     if (shard.stop.load(std::memory_order_acquire)) {
       return;  // Stop() closes the fds after joining us
     }
-    bool notified = n == 0;  // timeout: still sweep below
-    // Pass 1: socket readiness. The wakeup eventfd is drained here but its
-    // work (intake, completions) runs after, so it can never reference a
-    // connection this pass is about to destroy... the other way round is
-    // safe: completions look connections up by id.
+    // Connections queued by this turn's events wait for the next turn.
+    shard.turn.swap(shard.runnable);
+    bool notified = false;
     for (int i = 0; i < n; ++i) {
       if (evs[i].data.ptr == nullptr) {
         uint64_t junk = 0;
@@ -467,30 +433,31 @@ void AtomFsServer::ShardLoop(Shard& shard) {
       Conn* c = static_cast<Conn*>(evs[i].data.ptr);
       const uint32_t events = evs[i].events;
       if ((events & EPOLLERR) != 0) {
-        {
-          std::lock_guard<std::mutex> lk(c->mu);
-          c->dead = true;
-          c->want_close = true;
-        }
+        c->dead = true;
         MaybeClose(shard, c);
         continue;
       }
-      if ((events & EPOLLOUT) != 0) {
-        if (!FlushOutbox(shard, c)) {
-          continue;
-        }
-        UpdateReadInterest(shard, c);
-        if (!MaybeClose(shard, c)) {
-          continue;
-        }
+      if ((events & EPOLLOUT) != 0 && !FlushOutbox(shard, c)) {
+        continue;
       }
       if ((events & (EPOLLIN | EPOLLHUP)) != 0) {
-        OnReadable(shard, c);
+        ReadAvailable(c);
+      }
+      if (c->runnable) {
+        MaybeClose(shard, c);  // its window runs below, once this turn
+      } else {
+        Drain(shard, c);
       }
     }
+    for (Conn* c : shard.turn) {
+      if (c != nullptr) {
+        c->runnable = false;
+        Drain(shard, c);
+      }
+    }
+    shard.turn.clear();
     if (notified) {
       RegisterIntake(shard);
-      HandleCompletions(shard);
     }
     if (opts_.idle_timeout_ms > 0) {
       SweepIdle(shard);
@@ -508,11 +475,7 @@ void AtomFsServer::RegisterIntake(Shard& shard) {
     SetNonBlocking(fd);
     auto conn = std::make_unique<Conn>(fs_);
     Conn* c = conn.get();
-    // Relaxed: pure unique-id allocation; the Conn is published to workers
-    // via work_mu_ (MaybeSchedule), never through this counter.
-    c->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     c->fd = fd;
-    c->shard = &shard;
     c->window = std::clamp<uint32_t>(opts_.default_inflight, 1,
                                      std::max<uint32_t>(1, opts_.max_inflight));
     c->last_activity_ms = NowMs();
@@ -525,40 +488,13 @@ void AtomFsServer::RegisterIntake(Shard& shard) {
     }
     c->armed_mask = EPOLLIN;
     active_conns_.Add(1);
-    shard.conns.emplace(c->id, std::move(conn));
+    shard.conns.emplace(c, std::move(conn));
   }
 }
 
-void AtomFsServer::HandleCompletions(Shard& shard) {
-  std::vector<uint64_t> done;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    done.swap(shard.completions);
-  }
-  for (uint64_t id : done) {
-    auto it = shard.conns.find(id);
-    if (it == shard.conns.end()) {
-      continue;  // closed while the worker ran
-    }
-    Conn* c = it->second.get();
-    if (!FlushOutbox(shard, c)) {
-      continue;
-    }
-    // Replies just left the outbox, so the window may have opened: decode
-    // frames that were parked in the read buffer and resume reading.
-    if (!c->poisoned) {
-      DecodeBuffered(c);
-    }
-    MaybeSchedule(c);
-    UpdateReadInterest(shard, c);
-    MaybeClose(shard, c);
-  }
-}
-
-bool AtomFsServer::OnReadable(Shard& shard, Conn* c) {
+void AtomFsServer::ReadAvailable(Conn* c) {
   if (c->poisoned) {
-    // Reading is disarmed, but EPOLLHUP still lands here.
-    return MaybeClose(shard, c);
+    return;  // reading is disarmed, but EPOLLHUP still lands here
   }
   size_t total = 0;
   for (;;) {
@@ -570,12 +506,9 @@ bool AtomFsServer::OnReadable(Shard& shard, Conn* c) {
       if (errno == EINTR) {
         continue;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        c->dead = true;
       }
-      std::lock_guard<std::mutex> lk(c->mu);
-      c->dead = true;
-      c->want_close = true;
       break;
     }
     if (n == 0) {
@@ -590,37 +523,54 @@ bool AtomFsServer::OnReadable(Shard& shard, Conn* c) {
     }
   }
   c->last_activity_ms = NowMs();
-  DecodeBuffered(c);
-  MaybeSchedule(c);
-  UpdateReadInterest(shard, c);
-  return MaybeClose(shard, c);
 }
 
-void AtomFsServer::DecodeBuffered(Conn* c) {
+void AtomFsServer::Drain(Shard& shard, Conn* c) {
+  // Admission stops while the peer leaves its replies unread; the EPOLLOUT
+  // that empties the outbox drains again.
+  if (!c->dead && c->outbox_bytes <= opts_.max_outbox_bytes) {
+    const bool was_poisoned = c->poisoned;
+    const std::vector<WireRequest> todo = DecodeBuffered(c);
+    Execute(*c, todo);
+    if (c->poisoned && !was_poisoned) {
+      // Framing broke behind the requests just answered: EPROTO, in order,
+      // then close.
+      c->Reply(StatusResponse(Status(Errc::kProto)));
+      c->want_close = true;
+    }
+    if (!FlushOutbox(shard, c)) {
+      return;
+    }
+    if (c->parked != nullptr && !c->runnable && c->outbox_bytes <= opts_.max_outbox_bytes) {
+      // One window per turn: the rest waits behind the loop's other work.
+      c->runnable = true;
+      shard.runnable.push_back(c);
+    }
+  }
+  UpdateReadInterest(shard, c);
+  MaybeClose(shard, c);
+}
+
+std::vector<WireRequest> AtomFsServer::DecodeBuffered(Conn* c) {
+  std::vector<WireRequest> todo;
+  uint32_t admitted = 0;
   while (!c->poisoned) {
-    // Admission: a frame enters the pipeline only when its request units fit
-    // the remaining window *whole*, so admitted inflight never exceeds the
-    // negotiated window. The one exception is a frame arriving with nothing
-    // inflight — it always admits, so a msgbatch that alone exceeds the
-    // window cannot park forever; execution sheds it with BACKPRESSURE.
+    // Admission: a frame joins the drain only when its request units fit the
+    // rest of the window *whole*, so one drain never executes more than the
+    // negotiated window. The one exception is a frame that opens the drain —
+    // it always admits, so a msgbatch that alone exceeds the window cannot
+    // park forever; execution sheds it with BACKPRESSURE.
     if (c->parked != nullptr) {
-      bool admitted = false;
-      {
-        std::lock_guard<std::mutex> lk(c->mu);
-        if (c->inflight == 0 || c->inflight + c->parked_units <= c->window) {
-          c->ready.push_back(ConnReadyItem{std::move(*c->parked), false});
-          c->inflight += c->parked_units;
-          admitted = true;
-        } else if (!c->stalled) {
-          // Window full: park. Reads throttle; the next reply drain
-          // re-enters this loop.
+      if (admitted != 0 && admitted + c->parked_units > c->window) {
+        if (!c->stalled) {
+          // Window full: park until the next drain.
           c->stalled = true;
           backpressure_stalls_.Inc();
         }
-      }
-      if (!admitted) {
         break;
       }
+      admitted += c->parked_units;
+      todo.push_back(std::move(*c->parked));
       c->parked.reset();
       c->stalled = false;
     }
@@ -661,10 +611,10 @@ void AtomFsServer::DecodeBuffered(Conn* c) {
     const bool complete_frame_parked =
         avail >= 4 && avail >= 4 + static_cast<size_t>(PeekU32(c->rbuf.data() + c->rpos));
     if (!complete_frame_parked) {
-      std::lock_guard<std::mutex> lk(c->mu);
       c->want_close = true;
     }
   }
+  return todo;
 }
 
 void AtomFsServer::PoisonConn(Conn* c) {
@@ -672,33 +622,55 @@ void AtomFsServer::PoisonConn(Conn* c) {
   c->poisoned = true;
   c->rbuf.clear();
   c->rpos = 0;
-  c->parked.reset();  // decode never runs again; drop any admitted-pending frame
-  std::lock_guard<std::mutex> lk(c->mu);
-  c->ready.push_back(ConnReadyItem{WireRequest{}, true});
-  c->inflight += 1;
+  c->parked.reset();  // decode never runs again; drop any pending frame
+}
+
+void AtomFsServer::Execute(Conn& conn, const std::vector<WireRequest>& todo) {
+  if (todo.empty()) {
+    return;
+  }
+  exec_batch_size_.Record(todo.size());
+  for (const WireRequest& req : todo) {
+    if (req.op != WireOp::kMsgBatch) {
+      WallTimer timer;
+      conn.Reply(DispatchOne(conn, req));
+      RecordLatency(req.op, timer.ElapsedNanos());
+      continue;
+    }
+    WallTimer batch_timer;
+    if (req.batch.size() > conn.window) {
+      // Over-committed batch: shed the whole frame, execute nothing.
+      // Every sub-request still gets its reply slot.
+      const std::vector<std::byte> shed = StatusResponse(Status(Errc::kBackpressure));
+      for (size_t i = 0; i < req.batch.size(); ++i) {
+        conn.Reply(shed);
+      }
+    } else {
+      for (const WireRequest& sub : req.batch) {
+        WallTimer timer;
+        conn.Reply(DispatchOne(conn, sub));
+        RecordLatency(sub.op, timer.ElapsedNanos());
+      }
+    }
+    RecordLatency(WireOp::kMsgBatch, batch_timer.ElapsedNanos());
+  }
 }
 
 bool AtomFsServer::FlushOutbox(Shard& shard, Conn* c) {
-  for (;;) {
+  while (!c->dead) {
     iovec iov[kMaxIov];
     int n_iov = 0;
     size_t offered = 0;
-    {
-      std::lock_guard<std::mutex> lk(c->mu);
-      if (c->dead) {
+    size_t head_off = c->out_head_off;
+    for (const auto& frame : c->outbox) {
+      if (n_iov == kMaxIov) {
         break;
       }
-      size_t head_off = c->out_head_off;
-      for (const auto& frame : c->outbox) {
-        if (n_iov == kMaxIov) {
-          break;
-        }
-        iov[n_iov].iov_base = const_cast<std::byte*>(frame.data()) + head_off;
-        iov[n_iov].iov_len = frame.size() - head_off;
-        offered += iov[n_iov].iov_len;
-        head_off = 0;
-        ++n_iov;
-      }
+      iov[n_iov].iov_base = const_cast<std::byte*>(frame.data()) + head_off;
+      iov[n_iov].iov_len = frame.size() - head_off;
+      offered += iov[n_iov].iov_len;
+      head_off = 0;
+      ++n_iov;
     }
     if (n_iov == 0) {
       break;
@@ -715,28 +687,21 @@ bool AtomFsServer::FlushOutbox(Shard& shard, Conn* c) {
         ApplyMask(shard, c, (c->armed_mask & EPOLLIN) | EPOLLOUT);
         return true;
       }
-      {
-        std::lock_guard<std::mutex> lk(c->mu);
-        c->dead = true;
-        c->want_close = true;
-      }
+      c->dead = true;
       return MaybeClose(shard, c);
     }
-    {
-      std::lock_guard<std::mutex> lk(c->mu);
-      size_t left = static_cast<size_t>(wrote);
-      while (left > 0 && !c->outbox.empty()) {
-        auto& front = c->outbox.front();
-        const size_t remain = front.size() - c->out_head_off;
-        if (left >= remain) {
-          left -= remain;
-          c->outbox_bytes -= front.size();
-          c->outbox.pop_front();
-          c->out_head_off = 0;
-        } else {
-          c->out_head_off += left;
-          left = 0;
-        }
+    size_t left = static_cast<size_t>(wrote);
+    while (left > 0 && !c->outbox.empty()) {
+      auto& front = c->outbox.front();
+      const size_t remain = front.size() - c->out_head_off;
+      if (left >= remain) {
+        left -= remain;
+        c->outbox_bytes -= front.size();
+        c->outbox.pop_front();
+        c->out_head_off = 0;
+      } else {
+        c->out_head_off += left;
+        left = 0;
       }
     }
     if (static_cast<size_t>(wrote) < offered) {
@@ -751,12 +716,8 @@ bool AtomFsServer::FlushOutbox(Shard& shard, Conn* c) {
 void AtomFsServer::UpdateReadInterest(Shard& shard, Conn* c) {
   // A parked frame means the window is effectively full: reading more would
   // only grow the buffer behind a frame that cannot be admitted yet.
-  bool want_read = !c->poisoned && !c->peer_eof && c->parked == nullptr;
-  if (want_read) {
-    std::lock_guard<std::mutex> lk(c->mu);
-    want_read = !c->dead && !c->want_close && c->inflight < c->window &&
-                c->outbox_bytes <= opts_.max_outbox_bytes;
-  }
+  const bool want_read = !c->poisoned && !c->peer_eof && c->parked == nullptr && !c->dead &&
+                         !c->want_close && c->outbox_bytes <= opts_.max_outbox_bytes;
   const uint32_t mask = (want_read ? EPOLLIN : 0u) | (c->armed_mask & EPOLLOUT);
   ApplyMask(shard, c, mask);
 }
@@ -775,14 +736,9 @@ void AtomFsServer::ApplyMask(Shard& shard, Conn* c, uint32_t mask) {
 void AtomFsServer::SweepIdle(Shard& shard) {
   const uint64_t now = NowMs();
   std::vector<Conn*> victims;
-  for (auto& [id, conn] : shard.conns) {
-    Conn* c = conn.get();
-    if (now - c->last_activity_ms < opts_.idle_timeout_ms) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lk(c->mu);
-    if (!c->exec_scheduled && c->inflight == 0 && c->outbox.empty() && c->ready.empty() &&
-        !c->want_close) {
+  for (auto& [c, conn] : shard.conns) {
+    if (now - c->last_activity_ms >= opts_.idle_timeout_ms && c->outbox.empty() &&
+        c->parked == nullptr && !c->want_close) {
       victims.push_back(c);
     }
   }
@@ -795,40 +751,8 @@ void AtomFsServer::SweepIdle(Shard& shard) {
   }
 }
 
-void AtomFsServer::MaybeSchedule(Conn* c) {
-  bool enqueue = false;
-  {
-    std::lock_guard<std::mutex> lk(c->mu);
-    if (!c->ready.empty() && !c->exec_scheduled && !c->dead) {
-      c->exec_scheduled = true;
-      enqueue = true;
-    }
-  }
-  if (enqueue) {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    if (stopping_) {
-      return;  // Stop() tears every connection down; nothing left to execute
-    }
-    work_queue_.push_back(c);
-    work_queue_depth_.Add(1);
-    work_cv_.notify_one();
-  }
-}
-
 bool AtomFsServer::MaybeClose(Shard& shard, Conn* c) {
-  bool destroy = false;
-  {
-    std::lock_guard<std::mutex> lk(c->mu);
-    if (c->exec_scheduled) {
-      return true;  // a worker holds this conn; completion re-checks
-    }
-    if (c->dead) {
-      destroy = true;
-    } else if (c->want_close && c->ready.empty() && c->outbox.empty()) {
-      destroy = true;
-    }
-  }
-  if (destroy) {
+  if (c->dead || (c->want_close && c->outbox.empty())) {
     DestroyConn(shard, c);
     return false;
   }
@@ -842,98 +766,14 @@ void AtomFsServer::DestroyConn(Shard& shard, Conn* c) {
     opts_.txn->TxAbort(c->active_txn);
     c->active_txn = 0;
   }
+  if (c->runnable) {
+    std::erase(shard.runnable, c);
+    std::replace(shard.turn.begin(), shard.turn.end(), c, static_cast<Conn*>(nullptr));
+  }
   epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, c->fd, nullptr);
   close(c->fd);
   active_conns_.Sub(1);
-  shard.conns.erase(c->id);
-}
-
-// --- worker pool -------------------------------------------------------------
-
-void AtomFsServer::WorkerLoop() {
-  for (;;) {
-    Conn* c = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !work_queue_.empty(); });
-      if (stopping_) {
-        return;  // leftover queue entries are torn down by Stop
-      }
-      c = work_queue_.front();
-      work_queue_.pop_front();
-      work_queue_depth_.Sub(1);
-    }
-    ExecuteConn(c);
-  }
-}
-
-void AtomFsServer::ExecuteConn(Conn* c) {
-  // Captured before the drain: once exec_scheduled drops, the loop may
-  // destroy the connection and `c` must not be touched again.
-  Shard* home = c->shard;
-  const uint64_t id = c->id;
-  for (;;) {
-    std::deque<ConnReadyItem> todo;
-    {
-      std::lock_guard<std::mutex> lk(c->mu);
-      if (c->ready.empty()) {
-        c->exec_scheduled = false;
-        break;
-      }
-      todo.swap(c->ready);
-    }
-    exec_batch_size_.Record(todo.size());
-    for (ConnReadyItem& item : todo) {
-      std::vector<std::vector<std::byte>> frames;
-      bool close_after = false;
-      if (item.poison) {
-        frames.push_back(FrameOf(StatusResponse(Status(Errc::kProto))));
-        close_after = true;
-      } else if (item.req.op == WireOp::kMsgBatch) {
-        uint32_t window = 0;
-        {
-          std::lock_guard<std::mutex> lk(c->mu);
-          window = c->window;
-        }
-        WallTimer batch_timer;
-        if (item.req.batch.size() > window) {
-          // Over-committed batch: shed the whole frame, execute nothing.
-          // Every sub-request still gets its reply slot.
-          for (size_t i = 0; i < item.req.batch.size(); ++i) {
-            frames.push_back(FrameOf(StatusResponse(Status(Errc::kBackpressure))));
-          }
-        } else {
-          for (const WireRequest& sub : item.req.batch) {
-            WallTimer timer;
-            frames.push_back(FrameOf(DispatchOne(*c, sub)));
-            RecordLatency(sub.op, timer.ElapsedNanos());
-          }
-        }
-        RecordLatency(WireOp::kMsgBatch, batch_timer.ElapsedNanos());
-      } else {
-        WallTimer timer;
-        frames.push_back(FrameOf(DispatchOne(*c, item.req)));
-        RecordLatency(item.req.op, timer.ElapsedNanos());
-      }
-      std::lock_guard<std::mutex> lk(c->mu);
-      for (std::vector<std::byte>& f : frames) {
-        c->outbox_bytes += f.size();
-        c->outbox.push_back(std::move(f));
-        if (c->inflight > 0) {
-          --c->inflight;
-        }
-      }
-      if (close_after) {
-        c->want_close = true;
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(home->mu);
-    home->completions.push_back(id);
-  }
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = write(home->event_fd, &one, sizeof one);
+  shard.conns.erase(c);
 }
 
 // --- dispatch ----------------------------------------------------------------
@@ -1085,10 +925,7 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
           req.max_inflight == 0
               ? std::clamp<uint32_t>(opts_.default_inflight, 1, cap)
               : std::min(req.max_inflight, cap);
-      {
-        std::lock_guard<std::mutex> lk(conn.mu);
-        conn.window = granted;
-      }
+      conn.window = granted;
       // Reply in the client's version: a v2 peer gets the v2-shaped body, a
       // v3 peer additionally gets the capability bitmask (rule 3 of the
       // versioning contract — bodies are frozen per opcode *per version*).
@@ -1141,7 +978,7 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       }
       return StatusResponse(opts_.txn->TxCheckpoint());
     case WireOp::kMsgBatch:
-      // Batches are unpacked in ExecuteConn and nesting is rejected at
+      // Batches are unpacked in Execute and nesting is rejected at
       // parse; reaching here means a logic error upstream.
       return StatusResponse(Status(Errc::kProto));
   }

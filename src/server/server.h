@@ -1,26 +1,35 @@
 // AtomFsServer: the event-loop serving layer of atomfsd.
 //
-// Threading model (protocol v2, pipelined): one acceptor thread per listener
-// (Unix-domain and/or TCP on 127.0.0.1) round-robins accepted sockets across
-// N event-loop shards. Each shard runs a non-blocking epoll loop that owns a
-// set of connections: it reads whatever the kernel has buffered, decodes
-// every complete frame in the read buffer (up to the connection's negotiated
-// `max_inflight` window), and hands the decoded requests to a bounded worker
-// pool running against the shared FileSystem. Workers drain one connection's
-// ready queue at a time, so replies are produced in request order and each
-// connection's Vfs is touched by at most one thread; the loop then flushes
-// all accumulated reply frames with a single writev(2) per readiness cycle.
+// Threading model (protocol v2, pipelined, run to completion): one acceptor
+// thread per listener (Unix-domain and/or TCP on 127.0.0.1) round-robins
+// accepted sockets across N event-loop shards. Each shard runs a
+// non-blocking epoll loop that owns a set of connections outright; no other
+// thread touches them. On readiness the loop reads whatever the kernel has
+// buffered, decodes the complete frames up to the connection's negotiated
+// `max_inflight` window, executes them in order against the shared
+// FileSystem on the loop thread itself, and flushes the reply frames with a
+// single writev(2). A connection runs at most one window per loop turn: one
+// that pipelined past its window keeps its next frame parked and gets its
+// next window after the turn's other readiness events, so a peer that
+// ignores its window cannot monopolise the loop. Replies leave in request
+// order, and each connection's Vfs is only ever touched by its loop.
+// Linearizability comes from the file system's own lock coupling; the loop
+// adds no locking of its own. A long request holds up every other
+// connection of its shard: a journaled TXBEGIN or TXCOMMIT (mirror copy,
+// WAL write, fdatasync, checkpoint) delays even the direct reads that
+// TxnManager itself would let run beside it. Other shards are unaffected.
 //
 // Backpressure is structural, not advisory: a frame is admitted only when
-// its request units fit the remaining `max_inflight` window whole, so
-// admitted-but-unanswered units never exceed the window (the one exception,
-// a msgbatch that alone exceeds the window, admits only at zero inflight
-// and is shed with EBACKPRESSURE at execution). A frame that does not fit
-// is parked parsed, and the shard stops reading from that socket (EPOLLIN
-// disarmed) until replies drain — as it also does when the outbox grows
-// past `max_outbox_bytes` — so the peer's sends back up into its own socket
-// buffer. Idle and half-open connections are reaped after
-// `idle_timeout_ms` with a best-effort ETIMEDOUT reply.
+// its request units fit the rest of the window whole, so the requests one
+// drain executes never exceed the window (the one exception, a msgbatch that
+// alone exceeds the window, admits on its own and is shed with
+// EBACKPRESSURE). A frame that does not fit is parked parsed until the drain
+// ahead of it has run. Once the un-flushed reply bytes pass
+// `max_outbox_bytes` (the peer is not reading), the shard stops admitting
+// and stops reading from that socket (EPOLLIN disarmed) until the outbox
+// drains, so the peer's sends back up into its own socket buffer. Idle and
+// half-open connections are reaped after `idle_timeout_ms` with a
+// best-effort ETIMEDOUT reply.
 //
 // Every connection gets its own Vfs over the shared FileSystem, so
 // descriptor tables are isolated per connection — exactly a process fd
@@ -34,19 +43,16 @@
 // (unparsable path, unknown fd) get their error status back and the
 // conversation continues.
 //
-// Stop() is graceful: listeners close first (no new connections), workers
-// are drained and joined, then each shard wakes, tears down its connections
-// and exits; every thread is joined before Stop() returns.
+// Stop() is graceful: listeners close first (no new connections), then each
+// shard wakes, finishes the readiness pass it is in and exits, and its
+// connections are torn down; every thread is joined before Stop() returns.
 
 #ifndef ATOMFS_SRC_SERVER_SERVER_H_
 #define ATOMFS_SRC_SERVER_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,10 +75,9 @@ struct ServerOptions {
   // BoundTcpPort). Disabled unless tcp_listen is set.
   bool tcp_listen = false;
   uint16_t tcp_port = 0;
-  // Event-loop shards; accepted connections are round-robined across them.
+  // Event-loop shards; accepted connections are round-robined across them,
+  // and each shard executes its connections' requests itself.
   int shards = 2;
-  // Bounded execution pool shared by all shards.
-  int workers = 4;
   uint32_t max_frame_bytes = kWireMaxFrameBytes;
   // Largest inflight window HELLO will grant, and the window a connection
   // speaks at before (or without) HELLO.
@@ -82,13 +87,14 @@ struct ServerOptions {
   // long without traffic (a best-effort ETIMEDOUT reply is attempted).
   // 0 disables the sweep.
   uint32_t idle_timeout_ms = 0;
-  // Reading from a connection pauses while its un-flushed reply bytes exceed
-  // this, independent of the inflight window.
+  // Admitting and reading from a connection pause while its un-flushed
+  // reply bytes exceed this, independent of the inflight window.
   size_t max_outbox_bytes = 8u << 20;
   // Registry for the server's own metrics (server.connections,
   // server.protocol_errors, server.op.<name>.latency_ns, plus the loop
   // counters server.loop.wakeups / server.backpressure_stalls /
-  // server.idle_timeouts and the queue-depth gauges) and the source of the
+  // server.idle_timeouts, the server.conns.active gauge and the
+  // server.worker.batch_size histogram) and the source of the
   // WireOp::kMetrics response. Share one registry between the server and a
   // TracingObserver on the backend to serve a unified snapshot; when null
   // the server owns a private registry, so kMetrics always works. A caller-
@@ -118,7 +124,7 @@ class AtomFsServer {
   AtomFsServer(const AtomFsServer&) = delete;
   AtomFsServer& operator=(const AtomFsServer&) = delete;
 
-  // Binds the listeners and spawns acceptors + shards + workers. kInval if
+  // Binds the listeners and spawns acceptors + shards. kInval if
   // no listener is configured; kIo on socket/bind/epoll failure.
   Status Start();
 
@@ -144,25 +150,25 @@ class AtomFsServer {
 
   void AcceptLoop(int listen_fd);
   void ShardLoop(Shard& shard);
-  void WorkerLoop();
 
-  // Shard-thread helpers (all touch Conn loop-owned state). The bool-valued
-  // ones return false when they destroyed the connection.
+  // Shard-thread helpers (a connection is touched only by its shard). The
+  // bool-valued ones return false when they destroyed the connection.
   void RegisterIntake(Shard& shard);
-  void HandleCompletions(Shard& shard);
-  bool OnReadable(Shard& shard, Conn* c);
-  void DecodeBuffered(Conn* c);
+  void ReadAvailable(Conn* c);
+  // Runs one window of the connection's buffered requests to completion:
+  // decode up to the window, execute, flush. A connection left with a parked
+  // frame is queued on Shard::runnable for the next loop turn.
+  void Drain(Shard& shard, Conn* c);
+  std::vector<WireRequest> DecodeBuffered(Conn* c);
   void PoisonConn(Conn* c);
+  void Execute(Conn& conn, const std::vector<WireRequest>& todo);
   bool FlushOutbox(Shard& shard, Conn* c);
   void UpdateReadInterest(Shard& shard, Conn* c);
   void ApplyMask(Shard& shard, Conn* c, uint32_t mask);
   void SweepIdle(Shard& shard);
-  void MaybeSchedule(Conn* c);
   bool MaybeClose(Shard& shard, Conn* c);
   void DestroyConn(Shard& shard, Conn* c);
 
-  // Worker-side: drain one connection's ready queue, in order.
-  void ExecuteConn(Conn* c);
   // Handles one parsed non-batch request; returns the response payload.
   // Needs the connection for its Vfs and for HELLO's window update.
   std::vector<std::byte> DispatchOne(Conn& conn, const WireRequest& req);
@@ -184,14 +190,6 @@ class AtomFsServer {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> shard_threads_;
   std::atomic<uint64_t> next_shard_{0};
-  std::atomic<uint64_t> next_conn_id_{1};
-
-  // Bounded worker pool: connections with decoded-but-unexecuted requests.
-  std::vector<std::thread> workers_;
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<Conn*> work_queue_;
-  bool stopping_ = false;  // guarded by work_mu_
   // Atomic because running() is a cross-thread observer (tests poll it while
   // Start/Stop run elsewhere); Start/Stop themselves are externally
   // serialized.
@@ -208,7 +206,6 @@ class AtomFsServer {
   Counter backpressure_stalls_;
   Counter idle_timeouts_;
   Gauge active_conns_;
-  Gauge work_queue_depth_;
   Histogram exec_batch_size_;
 };
 

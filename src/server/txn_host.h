@@ -8,10 +8,10 @@
 // plugged in by the embedder (tools/atomfsd.cpp) when transactions are
 // enabled. A server with no TxnHost answers the transaction opcodes EINVAL.
 //
-// Threading: all four calls may arrive concurrently from different worker
-// threads (for different transactions); implementations synchronize
+// Threading: all four calls may arrive concurrently from different event-loop
+// shards (for different transactions); implementations synchronize
 // internally. The server guarantees that calls for one transaction id are
-// serialized (one connection's requests execute on one worker at a time).
+// serialized (a connection's requests all run on its one shard thread).
 
 #ifndef ATOMFS_SRC_SERVER_TXN_HOST_H_
 #define ATOMFS_SRC_SERVER_TXN_HOST_H_

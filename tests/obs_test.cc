@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -501,7 +502,6 @@ void ExerciseMetricsOver(const std::string& transport) {
   AtomFs fs(std::move(fo));
 
   ServerOptions options;
-  options.workers = 2;
   options.metrics = &reg;
   options.trace_ring = &ring;
   std::string sock_path;
@@ -569,7 +569,6 @@ void ExerciseMetricsOver(const std::string& transport) {
 TEST(MetricsWireTest, TraceDumpWithoutRingAnswersEmptyDocument) {
   AtomFs fs;
   ServerOptions options;
-  options.workers = 1;
   const std::string sock_path =
       "/tmp/atomfs_obs_noring_" + std::to_string(getpid()) + ".sock";
   options.unix_path = sock_path;
@@ -736,6 +735,61 @@ TEST(DocsDriftTest, ObservabilityDocCoversTheShardRouterMetrics) {
       << "crossshard help-reason flag undocumented";
 }
 
+// The serving layer's observability surface, both ways: every metric an
+// AtomFsServer registers has a "| `name` | type |" row in
+// docs/OBSERVABILITY.md, and every `server.` row there names a metric the
+// server still registers. The per-opcode latency histograms share the one
+// `server.op.<wireop>.latency_ns` row.
+TEST(DocsDriftTest, ObservabilityDocCoversExactlyTheServerMetrics) {
+  const std::string path = std::string(ATOMFS_SOURCE_DIR) + "/docs/OBSERVABILITY.md";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string doc = buf.str();
+
+  AtomFs fs;
+  MetricsRegistry reg;
+  ServerOptions options;
+  options.metrics = &reg;
+  AtomFsServer server(&fs, options);  // registers its metrics; never started
+  const MetricsSnapshot snap = reg.Snapshot();
+  std::vector<std::string> rows;
+  auto add = [&rows](std::string name, const char* type) {
+    if (name.starts_with("server.op.") && name.ends_with(".latency_ns")) {
+      name = "server.op.<wireop>.latency_ns";
+    }
+    const std::string row = "| `" + name + "` | " + type + " |";
+    if (std::find(rows.begin(), rows.end(), row) == rows.end()) {
+      rows.push_back(row);
+    }
+  };
+  for (const CounterSnapshot& c : snap.counters) {
+    add(c.name, "counter");
+  }
+  for (const GaugeSnapshot& g : snap.gauges) {
+    add(g.name, "gauge");
+  }
+  for (const HistogramSnapshot& h : snap.histograms) {
+    add(h.name, "histogram");
+  }
+  EXPECT_GE(rows.size(), 8u);
+  for (const std::string& row : rows) {
+    EXPECT_NE(doc.find(row), std::string::npos) << "registered metric has no row: " << row;
+  }
+  std::istringstream lines(doc);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (!line.starts_with("| `server.")) {
+      continue;
+    }
+    const bool registered = std::any_of(rows.begin(), rows.end(), [&line](const std::string& row) {
+      return line.starts_with(row);
+    });
+    EXPECT_TRUE(registered) << "documented metric is not registered: " << line;
+  }
+}
+
 // docs/CONCURRENCY.md is the normative locking/validation protocol. The names
 // it uses for the rcu-walk verification surface — the invariant, the ghost
 // events, the four counters, the retry default, the accounting identity, and
@@ -779,8 +833,8 @@ TEST(DocsDriftTest, ConcurrencyDocMatchesRcuWalkConstantsAndAtomics) {
 
   // Every atomic in the walk must have memory-order table rows.
   for (const char* atomic_name :
-       {"| `Inode::version` |", "| bucket head `buckets_[i]` |", "| `Entry::next` |",
-        "| `Entry::pub` |"}) {
+       {"| `Inode::version` |", "| `Inode::held` |", "| bucket head `buckets_[i]` |",
+        "| `Entry::next` |", "| `Entry::pub` |"}) {
     EXPECT_NE(doc.find(atomic_name), std::string::npos)
         << "memory-order table lost rows for " << atomic_name;
   }

@@ -453,8 +453,7 @@ TEST(RaceStress, ServerPipelinedTrafficWithConcurrentStop) {
   MetricsRegistry registry;  // outlives the server (ServerOptions::metrics rule)
   ServerOptions options;
   options.unix_path = StressSocketPath("stop");
-  options.shards = 2;
-  options.workers = 3;
+  options.shards = 3;  // up to three requests run at once when Stop() lands
   options.metrics = &registry;
   AtomFsServer server(&fs, options);
   ASSERT_TRUE(server.Start().ok());
@@ -516,7 +515,6 @@ TEST(RaceStress, IdleReapRacesClientFlush) {
   ServerOptions options;
   options.unix_path = StressSocketPath("reap");
   options.shards = 2;
-  options.workers = 2;
   options.idle_timeout_ms = 5;  // aggressive: reap constantly
   options.metrics = &registry;
   AtomFsServer server(&fs, options);
@@ -573,7 +571,7 @@ TEST(RaceStress, IdleReapRacesClientFlush) {
 
 // One session shared across threads: Submit/Flush/Wait interleave under the
 // session mutex while the server pipelines — the client-side counterpart of
-// the server's loop<->worker handoff.
+// the shard loop that alone runs each connection on the server.
 TEST(RaceStress, SharedSessionConcurrentSubmitters) {
   const uint64_t seed = StressSeed();
   const int threads = 4;
@@ -584,7 +582,6 @@ TEST(RaceStress, SharedSessionConcurrentSubmitters) {
   ServerOptions options;
   options.unix_path = StressSocketPath("shared");
   options.shards = 1;
-  options.workers = 2;
   options.metrics = &registry;
   AtomFsServer server(&fs, options);
   ASSERT_TRUE(server.Start().ok());

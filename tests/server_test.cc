@@ -12,9 +12,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,11 +56,13 @@ int RawConnect(const std::string& path) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void StartUnix(FileSystem* fs, int workers = 4) {
+  // `shards` bounds how many requests run at once: each loop runs its
+  // connections' requests itself.
+  void StartUnix(FileSystem* fs, int shards = 2) {
     sock_path_ = UniqueSocketPath("srv");
     ServerOptions options;
     options.unix_path = sock_path_;
-    options.workers = workers;
+    options.shards = shards;
     server_ = std::make_unique<AtomFsServer>(fs, options);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -739,9 +743,179 @@ TEST_F(ServerTest, BatchParksUntilItFitsTheWindowWhole) {
   server_->Stop();  // the local registry must outlive every server thread
 }
 
+TEST_F(ServerTest, PeerThatNeverReadsDoesNotStallItsLoopNeighbour) {
+  // Requests run to completion on the shard loop, so one loop serves both
+  // connections below. A peer that pipelines large reads and never reads a
+  // reply fills its socket and its outbox; the loop must park that peer and
+  // keep serving the other connection, not block on the stalled send.
+  AtomFs fs;
+  sock_path_ = UniqueSocketPath("stall");
+  ServerOptions options;
+  options.unix_path = sock_path_;
+  options.shards = 1;
+  options.max_outbox_bytes = 64u << 10;
+  server_ = std::make_unique<AtomFsServer>(&fs, options);
+  ASSERT_TRUE(server_->Start().ok());
+
+  constexpr uint32_t kWindow = 16;
+  constexpr size_t kFileBytes = 256u << 10;
+  {
+    auto setup = Client();
+    ASSERT_TRUE(setup->Mknod("/big").ok());
+    ASSERT_TRUE(WriteString(*setup, "/big", std::string(kFileBytes, 'z')).ok());
+  }
+
+  // Two full windows of 256 KiB reads in one send: 8 MiB of replies, far
+  // past the socket buffers and the 64 KiB outbox cap.
+  const int stalled = RawConnect(sock_path_);
+  std::vector<std::byte> burst = FramedRequest(HelloRequest(kWireProtoVersion, kWindow));
+  WireRequest read;
+  read.op = WireOp::kRead;
+  read.path_a = "/big";
+  read.offset = 0;
+  read.count = kFileBytes;
+  for (uint32_t i = 0; i < 2 * kWindow; ++i) {
+    Append(burst, FramedRequest(read));
+  }
+  ASSERT_EQ(send(stalled, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  auto reads_served = [this] {
+    const MetricsSnapshot snap = server_->metrics()->Snapshot();
+    const HistogramSnapshot* h = snap.FindHistogram("server.op.read.latency_ns");
+    return h != nullptr ? h->count : 0;
+  };
+  const auto started = std::chrono::steady_clock::now();
+  while (reads_served() == 0 &&
+         std::chrono::steady_clock::now() - started < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The neighbour's round trips must finish within the deadline.
+  std::promise<bool> done;
+  std::future<bool> finished = done.get_future();
+  std::thread neighbour([&] {
+    auto client = Client();
+    bool ok = client != nullptr;
+    for (int i = 0; ok && i < 50; ++i) {
+      ok = client->Ping().ok() && client->Stat("/big").ok();
+    }
+    done.set_value(ok);
+  });
+  const bool in_time =
+      finished.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!in_time) {
+    shutdown(stalled, SHUT_RDWR);  // unwedge a blocked loop so the join returns
+  }
+  neighbour.join();
+  EXPECT_TRUE(in_time) << "a peer that never reads stalled its loop neighbour";
+  EXPECT_TRUE(finished.get());
+
+  // Once the stalled peer reads, every reply arrives, in order and whole.
+  if (in_time) {
+    EXPECT_EQ(RecvStatus(stalled), Errc::kOk);  // HELLO
+    for (uint32_t i = 0; i < 2 * kWindow; ++i) {
+      auto response = RecvFrame(stalled);
+      ASSERT_TRUE(response.ok()) << "read reply " << i;
+      EXPECT_EQ(response->size(), 1 + 4 + kFileBytes) << "read reply " << i;
+    }
+  }
+  close(stalled);
+  server_->Stop();
+}
+
+TEST_F(ServerTest, PeerPipeliningPastItsWindowSharesItsLoop) {
+  // A peer that reads its replies but keeps many windows of stat requests
+  // buffered must get one window per loop turn, so a neighbour on the same
+  // loop waits behind at most a few windows, not behind everything the peer
+  // has sent. Measured in peer requests served during each neighbour round
+  // trip, which does not depend on how fast the host is.
+  AtomFs fs;
+  sock_path_ = UniqueSocketPath("flood");
+  ServerOptions options;
+  options.unix_path = sock_path_;
+  options.shards = 1;
+  server_ = std::make_unique<AtomFsServer>(&fs, options);
+  ASSERT_TRUE(server_->Start().ok());
+  {
+    auto setup = Client();
+    ASSERT_TRUE(setup->Mknod("/s").ok());
+  }
+  auto stats_served = [this] {
+    const MetricsSnapshot snap = server_->metrics()->Snapshot();
+    const HistogramSnapshot* h = snap.FindHistogram("server.op.stat.latency_ns");
+    return h != nullptr ? h->count : 0;
+  };
+
+  constexpr uint32_t kWindow = 8;
+  const int peer = RawConnect(sock_path_);
+  std::atomic<bool> flooding{true};
+  std::thread writer([&] {
+    std::vector<std::byte> hello = FramedRequest(HelloRequest(kWireProtoVersion, kWindow));
+    if (send(peer, hello.data(), hello.size(), MSG_NOSIGNAL) < 0) {
+      return;
+    }
+    WireRequest stat;
+    stat.op = WireOp::kStat;
+    stat.path_a = "/s";
+    std::vector<std::byte> chunk;
+    for (int i = 0; i < 4096; ++i) {
+      Append(chunk, FramedRequest(stat));
+    }
+    while (flooding.load(std::memory_order_relaxed)) {
+      if (send(peer, chunk.data(), chunk.size(), MSG_NOSIGNAL) < 0) {
+        return;
+      }
+    }
+  });
+  std::thread reader([&] {
+    std::vector<char> sink(256u << 10);
+    while (recv(peer, sink.data(), sink.size(), 0) > 0) {
+    }
+  });
+  const auto started = std::chrono::steady_clock::now();
+  while (stats_served() < 20000 &&
+         std::chrono::steady_clock::now() - started < std::chrono::seconds(30)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  constexpr int kRoundTrips = 200;
+  std::vector<uint64_t> served_during(kRoundTrips, 0);
+  std::promise<bool> done;
+  std::future<bool> finished = done.get_future();
+  std::thread neighbour([&] {
+    auto client = Client();
+    bool ok = client != nullptr;
+    for (int i = 0; ok && i < kRoundTrips; ++i) {
+      const uint64_t before = stats_served();
+      ok = client->Ping().ok();
+      served_during[static_cast<size_t>(i)] = stats_served() - before;
+    }
+    done.set_value(ok);
+  });
+  const bool in_time =
+      finished.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  flooding.store(false, std::memory_order_relaxed);
+  shutdown(peer, SHUT_RDWR);  // unblocks the flood threads (and a wedged loop)
+  writer.join();
+  reader.join();
+  neighbour.join();
+  close(peer);
+  ASSERT_TRUE(in_time) << "a peer pipelining past its window starved its loop neighbour";
+  EXPECT_TRUE(finished.get());
+
+  // One turn runs a window or two of the peer; draining everything it has
+  // buffered runs thousands (a 256 KiB read holds ~20k stat frames). The
+  // bound leaves room for the neighbour thread being descheduled.
+  std::sort(served_during.begin(), served_during.end());
+  const uint64_t median = served_during[kRoundTrips / 2];
+  EXPECT_LE(median, 128u * kWindow)
+      << "median peer requests run during one neighbour round trip";
+  server_->Stop();
+}
+
 TEST_F(ServerTest, StopWhileTrafficInFlightShutsDownCleanly) {
   AtomFs fs;
-  StartUnix(&fs);
+  StartUnix(&fs, /*shards=*/4);  // one loop per client, all mid-request
   std::atomic<bool> go{true};
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
@@ -758,7 +932,7 @@ TEST_F(ServerTest, StopWhileTrafficInFlightShutsDownCleanly) {
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  server_->Stop();  // races MaybeSchedule against the work-queue teardown
+  server_->Stop();  // races the shard loops mid-request
   go.store(false, std::memory_order_relaxed);
   for (auto& t : threads) {
     t.join();
@@ -773,7 +947,8 @@ TEST_F(ServerTest, MultiClientStressUnderMonitorHasNoViolations) {
   AtomFs::Options fs_options;
   fs_options.observer = &monitor;
   AtomFs fs(std::move(fs_options));
-  StartUnix(&fs, /*workers=*/8);
+  constexpr int kClients = 6;
+  StartUnix(&fs, /*shards=*/kClients);  // every client's ops can run at once
 
   // A small filebench population shared by all clients.
   FilebenchProfile profile;
@@ -787,7 +962,6 @@ TEST_F(ServerTest, MultiClientStressUnderMonitorHasNoViolations) {
     FilebenchSetup(*setup, profile, /*seed=*/3);
   }
 
-  constexpr int kClients = 6;
   constexpr uint64_t kOpsPerClient = 120;
   std::vector<std::thread> threads;
   std::vector<WorkerStats> stats(kClients);
@@ -847,7 +1021,7 @@ class TxnServerTest : public ServerTest {
     sock_path_ = UniqueSocketPath("srvtx");
     ServerOptions options;
     options.unix_path = sock_path_;
-    options.workers = 4;
+    options.shards = 4;  // connections' txn ops run concurrently
     options.txn = txn;
     server_ = std::make_unique<AtomFsServer>(txn, options);
     ASSERT_TRUE(server_->Start().ok());

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -465,6 +466,8 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
   std::mutex mu;
   std::condition_variable cv;
   bool reader_registered = false;
+  ShardedFs* served = nullptr;
+  std::thread reader;
 
   ShardedFs::Options o;
   o.shards = 4;
@@ -474,27 +477,33 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
   o.obs = &tracer;
   o.metrics = &reg;
   // Park the migration driver inside the detach window until the reader has
-  // been routed into the footprint (and is therefore obliged to help).
+  // been routed into the footprint (and is therefore obliged to help). The
+  // reader starts from in here, so the migration it must help is already
+  // published when it routes.
   o.test_pause_after_detach = [&] {
+    // The reader dispatches into the published migration's footprint,
+    // records its participation (a stale-route retry), and blocks helping.
+    reader = std::thread([&] {
+      const Status st = served->Stat("/ta/m").status();
+      // The reader linearizes after the migration it helped complete.
+      EXPECT_EQ(st.code(), Errc::kNoEnt);
+    });
     std::unique_lock<std::mutex> lk(mu);
     cv.wait(lk, [&] { return reader_registered; });
   };
   ShardedFs fs(std::move(o));
+  served = &fs;
   ASSERT_TRUE(fs.Mkdir("/ta").ok());
   ASSERT_TRUE(fs.Mkdir("/tb").ok());
   ASSERT_TRUE(WriteString(fs, "/ta/m", "in flight").ok());
 
   std::thread driver([&] { ASSERT_TRUE(fs.Rename("/ta/m", "/tb/m").ok()); });
 
-  // The reader dispatches into the published migration's footprint, records
-  // its participation (a stale-route retry), and blocks helping.
-  std::thread reader([&] {
-    const Status st = fs.Stat("/ta/m").status();
-    // The reader linearizes after the migration it helped complete.
-    EXPECT_EQ(st.code(), Errc::kNoEnt);
-  });
-  while (fs.stale_route_retries() == 0) {
-    std::this_thread::yield();
+  // Bounded wait: on a timeout the migration is released anyway and the
+  // stale-route assertion below reports the failure instead of a hang.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fs.stale_route_retries() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   {
     std::lock_guard<std::mutex> lk(mu);
@@ -502,7 +511,9 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
   }
   cv.notify_all();
   driver.join();
-  reader.join();
+  if (reader.joinable()) {  // not started if the rename never reached detach
+    reader.join();
+  }
 
   EXPECT_EQ(fs.migrations_completed(), 1u);
   EXPECT_GE(fs.cross_shard_help_edges(), 1u);
@@ -571,7 +582,9 @@ TEST(ShardedFsValidation, StaleRouteObservesTheDetachWindow) {
   // shard and observes the detach window: /ta/f is missing while the rename
   // that will re-create it under /tb has not yet linearized. That transient
   // ENOENT is exactly the stale-route anomaly safe mode absorbs.
-  while (fs.stale_route_retries() == 0 && fs.Stat("/ta/f").status().ok()) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fs.stale_route_retries() == 0 && fs.Stat("/ta/f").status().ok() &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   const Status raced = fs.Stat("/ta/f").status();

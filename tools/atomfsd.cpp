@@ -10,8 +10,9 @@
 //                                  --backend atomfs; with --monitor every
 //                                  shard gets its own CRL-H monitor and the
 //                                  namespace-level checks gate the exit code
-//           --shards N             event-loop shards (default 2)
-//           --workers N            request execution threads (default 8)
+//           --shards N             event-loop shards (default 2); each
+//                                  runs its connections' requests to
+//                                  completion on its own thread
 //           --max-inflight N       largest per-connection pipeline window a
 //                                  HELLO may negotiate (default 128)
 //           --idle-timeout MS      reap idle/half-open connections after MS
@@ -135,7 +136,6 @@ int main(int argc, char** argv) {
   using namespace atomfs;
 
   ServerOptions options;
-  options.workers = 8;
   std::string backend = "atomfs";
   int fs_shards = 0;
   bool monitor_requested = false;
@@ -163,8 +163,6 @@ int main(int argc, char** argv) {
       fs_shards = std::atoi(next());
     } else if (arg("--shards")) {
       options.shards = std::atoi(next());
-    } else if (arg("--workers")) {
-      options.workers = std::atoi(next());
     } else if (arg("--max-inflight")) {
       options.max_inflight = static_cast<uint32_t>(std::atoi(next()));
     } else if (arg("--idle-timeout")) {
@@ -379,8 +377,7 @@ int main(int argc, char** argv) {
   if (options.tcp_listen) {
     std::printf(" tcp:%u", server.BoundTcpPort());
   }
-  std::printf(" shards=%d workers=%d max_inflight=%u\n", options.shards, options.workers,
-              options.max_inflight);
+  std::printf(" shards=%d max_inflight=%u\n", options.shards, options.max_inflight);
   std::fflush(stdout);
 
   // Event loop: block on the wake eventfd (no sleep-polling), consume the

@@ -15,7 +15,7 @@ WORK=$(mktemp -d)
 SOCK="$WORK/atomfsd.sock"
 trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-"$ATOMFSD" --unix "$SOCK" --monitor --metrics-dump --workers 4 \
+"$ATOMFSD" --unix "$SOCK" --monitor --metrics-dump --shards 4 \
   > "$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
 

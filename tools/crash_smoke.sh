@@ -39,7 +39,7 @@ echo "--- stage 2: kill -9 a journaled atomfsd, recover, verify ---"
 JOURNAL="$WORK/atomfs.wal"
 SOCK1="$WORK/gen1.sock"
 
-"$ATOMFSD" --unix "$SOCK1" --journal "$JOURNAL" --workers 2 \
+"$ATOMFSD" --unix "$SOCK1" --journal "$JOURNAL" \
   > "$WORK/gen1.log" 2>&1 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK1" ] && break; sleep 0.1; done
@@ -59,7 +59,7 @@ kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 
 SOCK2="$WORK/gen2.sock"
-"$ATOMFSD" --unix "$SOCK2" --journal "$JOURNAL" --workers 2 \
+"$ATOMFSD" --unix "$SOCK2" --journal "$JOURNAL" \
   > "$WORK/gen2.log" 2>&1 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK2" ] && break; sleep 0.1; done
@@ -84,7 +84,7 @@ wait "$DAEMON_PID" || {
 echo "--- stage 3: kill -9 across a forced checkpoint, recover, verify ---"
 CKJOURNAL="$WORK/ckpt.wal"
 SOCK3="$WORK/gen3.sock"
-"$ATOMFSD" --unix "$SOCK3" --journal "$CKJOURNAL" --checkpoint-units 64 --workers 2 \
+"$ATOMFSD" --unix "$SOCK3" --journal "$CKJOURNAL" --checkpoint-units 64 \
   > "$WORK/gen3.log" 2>&1 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK3" ] && break; sleep 0.1; done
@@ -115,7 +115,7 @@ kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 
 SOCK4="$WORK/gen4.sock"
-"$ATOMFSD" --unix "$SOCK4" --journal "$CKJOURNAL" --workers 2 \
+"$ATOMFSD" --unix "$SOCK4" --journal "$CKJOURNAL" \
   > "$WORK/gen4.log" 2>&1 &
 DAEMON_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK4" ] && break; sleep 0.1; done

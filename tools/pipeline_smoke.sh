@@ -17,7 +17,7 @@ WORK=$(mktemp -d)
 SOCK="$WORK/atomfsd.sock"
 trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-"$ATOMFSD" --unix "$SOCK" --monitor --workers 4 --idle-timeout 10000 \
+"$ATOMFSD" --unix "$SOCK" --monitor --shards 4 --idle-timeout 10000 \
   > "$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
 

@@ -3,7 +3,8 @@
 # full ctest suite — which includes the atomfsd end-to-end smoke test
 # (tools/atomfsd_smoke.sh), so the serving layer is covered by default.
 #
-# After the full suite, a focused observability stage re-runs the atomtrace
+# After the full suite, a flake stage reruns the `sanitize`-labelled tests up
+# to three times each, and a focused observability stage re-runs the atomtrace
 # tests (obs_test: registry/trace-ring/METRICS/docs-drift) and the atomfsd
 # smoke (which asserts a parseable --metrics-dump with nonzero op counters)
 # by name, so a regression there is called out explicitly even when someone
@@ -23,6 +24,14 @@ if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo "--- flake stage (label 'sanitize', each test up to 3 runs) ---"
+# The concurrency-heavy core again, at full parallelism, rerun until a test
+# fails or has passed three times: a race that one pass happens to miss gets
+# two more chances to show. Every test has a TIMEOUT (CMakeLists.txt), so a
+# hang fails here instead of stalling the run.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -L sanitize \
+  --repeat until-fail:3
 
 echo "--- observability stage (obs_test + atomfsd smoke) ---"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^(obs_test|atomfsd_smoke)$'

@@ -19,7 +19,7 @@ WORK=$(mktemp -d)
 SOCK="$WORK/atomfsd.sock"
 trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-"$ATOMFSD" --unix "$SOCK" --fs-shards 4 --monitor --workers 4 \
+"$ATOMFSD" --unix "$SOCK" --fs-shards 4 --monitor --shards 4 \
   > "$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
 
