@@ -7,7 +7,6 @@ AtomFs::Options InnerOptions(const BigLockFs::Options& options) {
   AtomFs::Options inner;
   inner.executor = options.executor;
   inner.observer = nullptr;  // BigLockFs reports its own, op-level events
-  inner.dir_buckets = options.dir_buckets;
   inner.costs = options.costs;
   inner.disable_inode_locks = true;
   return inner;

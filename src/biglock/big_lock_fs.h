@@ -25,7 +25,6 @@ class BigLockFs : public FileSystem {
   struct Options {
     Executor* executor = &Executor::Real();
     FsObserver* observer = nullptr;
-    uint32_t dir_buckets = 64;
     CostModel costs;
   };
 

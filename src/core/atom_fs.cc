@@ -28,7 +28,7 @@ AtomFs::AtomFs(Options options) : opts_(std::move(options)) {
   // locks compiled out (BigLockFs) there is nothing to validate under.
   ATOMFS_CHECK(!(opts_.enable_rcu_walk && opts_.disable_inode_locks));
   root_ = std::make_unique<Inode>(kRootInum, FileType::kDir, opts_.executor->CreateLock(),
-                                  opts_.dir_buckets, opts_.enable_rcu_walk);
+                                  opts_.enable_rcu_walk);
 }
 
 AtomFs::~AtomFs() {
@@ -134,8 +134,7 @@ std::unique_ptr<Inode> AtomFs::NewInode(FileType type) {
   opts_.executor->Work(opts_.costs.inode_alloc_ns);
   inode_count_.fetch_add(1, std::memory_order_relaxed);
   return std::make_unique<Inode>(next_inum_.fetch_add(1, std::memory_order_relaxed), type,
-                                 opts_.executor->CreateLock(), opts_.dir_buckets,
-                                 opts_.enable_rcu_walk);
+                                 opts_.executor->CreateLock(), opts_.enable_rcu_walk);
 }
 
 void AtomFs::DisposeInode(std::unique_ptr<Inode> node) {

@@ -49,7 +49,6 @@ class AtomFs : public FileSystem {
   struct Options {
     Executor* executor = &Executor::Real();
     FsObserver* observer = nullptr;
-    uint32_t dir_buckets = 64;
     CostModel costs;
 
     // VALIDATION ONLY: release the parent's lock before acquiring the

@@ -15,11 +15,10 @@ struct CostModel {
   // Fixed entry/exit overhead per operation (argument handling, FUSE-ish
   // dispatch).
   uint64_t op_base_ns = 600;
-  // Hash for one directory lookup, plus the per-chain-link walk cost: a
-  // lookup in a directory whose chains are long (many files, few buckets)
-  // holds the directory lock proportionally longer, which is exactly what
-  // makes the paper's webproxy profile (10k files in 2 directories) scale
-  // worse than fileserver under lock coupling.
+  // Hash for one directory lookup, plus the per-chain-link walk cost. The
+  // directory table grows to keep its load factor at most 1, so a lookup
+  // inspects about one link whatever the directory's size; the probe charge
+  // only matters for the rare longer chain.
   uint64_t lookup_ns = 150;
   uint64_t lookup_probe_ns = 40;
   // Directory entry insert / remove.

@@ -1,13 +1,20 @@
 #include "src/core/dir_table.h"
 
+#include <utility>
+
 #include "src/core/inode.h"
 #include "src/util/check.h"
 
 namespace atomfs {
 namespace {
 
+// Heads in a directory's first bucket array.
+constexpr size_t kInitialBuckets = 8;
+
+}  // namespace
+
 // FNV-1a over the name bytes.
-uint64_t HashName(std::string_view name) {
+uint64_t DirTable::Hash(std::string_view name) {
   uint64_t h = 1469598103934665603ULL;
   for (char c : name) {
     h ^= static_cast<unsigned char>(c);
@@ -16,31 +23,43 @@ uint64_t HashName(std::string_view name) {
   return h;
 }
 
-}  // namespace
-
-DirTable::DirTable(uint32_t buckets, bool defer_reclaim)
-    : buckets_(buckets == 0 ? 1 : buckets), defer_reclaim_(defer_reclaim) {
-  for (auto& head : buckets_) {
-    head.store(nullptr, std::memory_order_relaxed);
+DirTable::Buckets::Buckets(size_t count)
+    : mask(count - 1), heads(new std::atomic<Entry*>[count]) {
+  for (size_t i = 0; i < count; ++i) {
+    heads[i].store(nullptr, std::memory_order_relaxed);
   }
 }
 
-DirTable::~DirTable() {
-  for (auto& head : buckets_) {
-    Entry* e = head.load(std::memory_order_relaxed);
+template <typename Fn>
+void DirTable::ForEachEntry(const Buckets& b, Fn fn) {
+  for (size_t i = 0; i <= b.mask; ++i) {
+    Entry* e = b.heads[i].load(std::memory_order_relaxed);
     while (e != nullptr) {
       Entry* next = e->next.load(std::memory_order_relaxed);
-      delete e;
+      fn(e);
       e = next;
     }
+  }
+}
+
+DirTable::DirTable(bool defer_reclaim) : defer_reclaim_(defer_reclaim) {}
+
+DirTable::~DirTable() {
+  if (Buckets* b = LockedBuckets(); b != nullptr) {
+    ForEachEntry(*b, [](Entry* e) { delete e; });
+    delete b;
   }
   for (Entry* e : retired_) {
     delete e;
   }
+  while (retired_buckets_ != nullptr) {
+    delete std::exchange(retired_buckets_, retired_buckets_->retired_next);
+  }
 }
 
-size_t DirTable::BucketOf(std::string_view name) const {
-  return HashName(name) % buckets_.size();
+size_t DirTable::bucket_count() const {
+  const Buckets* b = LockedBuckets();
+  return b == nullptr ? 0 : b->mask + 1;
 }
 
 void DirTable::Retire(Entry* e) {
@@ -53,34 +72,76 @@ void DirTable::Retire(Entry* e) {
   }
 }
 
+void DirTable::Retire(Buckets* b) {
+  if (defer_reclaim_) {
+    b->retired_next = retired_buckets_;
+    retired_buckets_ = b;
+  } else {
+    delete b;
+  }
+}
+
+DirTable::Buckets* DirTable::Grow(Buckets* old) {
+  auto* grown = new Buckets(old == nullptr ? kInitialBuckets : 2 * (old->mask + 1));
+  if (old == nullptr) {
+    buckets_.store(grown, std::memory_order_release);
+    return grown;
+  }
+  // Copy every entry into a fresh shell in the new array. The old shells
+  // keep their names, `pub` and links, so a lock-free reader still walking
+  // the old array sees exactly the chains it saw before; nothing here is
+  // reachable by it until the release store below.
+  ForEachEntry(*old, [grown](Entry* e) {
+    auto* moved = new Entry;
+    moved->name = e->name;
+    moved->pub.store(e->pub.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    moved->child = std::move(e->child);
+    auto& head = grown->HeadOf(moved->name);
+    moved->next.store(head.load(std::memory_order_relaxed), std::memory_order_relaxed);
+    head.store(moved, std::memory_order_relaxed);
+  });
+  // Publish: an acquire reader of buckets_ sees every head and shell above.
+  buckets_.store(grown, std::memory_order_release);
+  ForEachEntry(*old, [this](Entry* e) { Retire(e); });
+  Retire(old);
+  return grown;
+}
+
 Inode* DirTable::Find(std::string_view name, size_t* probes) const {
   size_t walked = 0;
+  Inode* found = nullptr;
   // Under the owning inode's lock there is no concurrent writer, so relaxed
-  // chain loads suffice.
-  for (Entry* e = buckets_[BucketOf(name)].load(std::memory_order_relaxed); e != nullptr;
-       e = e->next.load(std::memory_order_relaxed)) {
-    ++walked;
-    if (e->name == name) {
-      if (probes != nullptr) {
-        *probes = walked;
+  // loads suffice.
+  if (Buckets* b = LockedBuckets(); b != nullptr) {
+    for (Entry* e = b->HeadOf(name).load(std::memory_order_relaxed); e != nullptr;
+         e = e->next.load(std::memory_order_relaxed)) {
+      ++walked;
+      if (e->name == name) {
+        found = e->child.get();
+        break;
       }
-      return e->child.get();
     }
   }
   if (probes != nullptr) {
     *probes = walked;
   }
-  return nullptr;
+  return found;
 }
 
 Inode* DirTable::FindOptimistic(std::string_view name) const {
-  // Acquire on the chain pointers pairs with Insert's release head-store, so
-  // the entry's immutable fields (name) are visible. Acquire on `pub` pairs
-  // with Remove's release nullptr-store: a reader either gets the live inode
-  // or a miss. Either way the caller revalidates versions before believing
-  // anything (docs/CONCURRENCY.md §5).
-  for (const Entry* e = buckets_[BucketOf(name)].load(std::memory_order_acquire);
-       e != nullptr; e = e->next.load(std::memory_order_acquire)) {
+  // Acquire on the array pointer pairs with Grow's release store, so the
+  // array's heads and shells are visible. Acquire on the chain pointers
+  // pairs with Insert's release head-store, so the entry's immutable fields
+  // (name) are visible. Acquire on `pub` pairs with Remove's release
+  // nullptr-store: a reader either gets the live inode or a miss. Either way
+  // the caller revalidates versions before believing anything
+  // (docs/CONCURRENCY.md §5).
+  Buckets* b = buckets_.load(std::memory_order_acquire);
+  if (b == nullptr) {
+    return nullptr;
+  }
+  for (const Entry* e = b->HeadOf(name).load(std::memory_order_acquire); e != nullptr;
+       e = e->next.load(std::memory_order_acquire)) {
     if (e->name == name) {
       return e->pub.load(std::memory_order_acquire);
     }
@@ -89,13 +150,14 @@ Inode* DirTable::FindOptimistic(std::string_view name) const {
 }
 
 bool DirTable::Insert(std::string_view name, std::unique_ptr<Inode> child) {
-  auto& head = buckets_[BucketOf(name)];
-  for (Entry* e = head.load(std::memory_order_relaxed); e != nullptr;
-       e = e->next.load(std::memory_order_relaxed)) {
-    if (e->name == name) {
-      return false;
-    }
+  if (Find(name) != nullptr) {
+    return false;
   }
+  Buckets* b = LockedBuckets();
+  if (b == nullptr || size_ > b->mask) {
+    b = Grow(b);  // keep the load factor at most 1
+  }
+  auto& head = b->HeadOf(name);
   auto* entry = new Entry;
   entry->name = std::string(name);
   entry->pub.store(child.get(), std::memory_order_relaxed);
@@ -109,8 +171,11 @@ bool DirTable::Insert(std::string_view name, std::unique_ptr<Inode> child) {
 }
 
 std::unique_ptr<Inode> DirTable::Remove(std::string_view name) {
-  auto& head = buckets_[BucketOf(name)];
-  std::atomic<Entry*>* link = &head;
+  Buckets* b = LockedBuckets();
+  if (b == nullptr) {
+    return nullptr;
+  }
+  std::atomic<Entry*>* link = &b->HeadOf(name);
   while (true) {
     Entry* e = link->load(std::memory_order_relaxed);
     if (e == nullptr) {
@@ -135,26 +200,21 @@ std::unique_ptr<Inode> DirTable::Remove(std::string_view name) {
 }
 
 void DirTable::ForEach(const std::function<void(const std::string&, const Inode*)>& fn) const {
-  for (const auto& head : buckets_) {
-    for (Entry* e = head.load(std::memory_order_relaxed); e != nullptr;
-         e = e->next.load(std::memory_order_relaxed)) {
-      fn(e->name, e->child.get());
-    }
+  if (const Buckets* b = LockedBuckets(); b != nullptr) {
+    ForEachEntry(*b, [&fn](const Entry* e) { fn(e->name, e->child.get()); });
   }
 }
 
 std::vector<std::unique_ptr<Inode>> DirTable::TakeAll() {
   std::vector<std::unique_ptr<Inode>> out;
   out.reserve(size_);
-  for (auto& head : buckets_) {
-    Entry* e = head.load(std::memory_order_relaxed);
-    head.store(nullptr, std::memory_order_relaxed);
-    while (e != nullptr) {
-      Entry* next = e->next.load(std::memory_order_relaxed);
+  if (Buckets* b = LockedBuckets(); b != nullptr) {
+    ForEachEntry(*b, [&out](Entry* e) {
       out.push_back(std::move(e->child));
       delete e;
-      e = next;
-    }
+    });
+    buckets_.store(nullptr, std::memory_order_relaxed);
+    delete b;
   }
   size_ = 0;
   return out;

@@ -2,12 +2,21 @@
 // buckets, matching the paper's prototype ("a hash table followed by linked
 // lists for directory lookups").
 //
+// The table grows with the directory. It holds no bucket array until the
+// first Insert (a file inode's table never allocates one). The array has a
+// power-of-two number of heads indexed by Hash(name) & mask. When an Insert
+// would put more entries than heads in it (load factor 1), the array
+// doubles, so a lookup inspects about one entry however large the directory
+// is. It never shrinks.
+//
 // All mutation happens under the owning inode's lock. Lookups come in two
 // flavors: Find() is the classic locked lookup, and FindOptimistic() is the
 // RCU-walk read path (docs/CONCURRENCY.md §4) that runs with NO locks held.
-// To make the latter sound the chains are published with release/acquire
-// atomics:
+// To make the latter sound every pointer a reader follows is published with
+// release/acquire atomics:
 //
+//  - the bucket array sits behind std::atomic<Buckets*>. A reader
+//    acquire-loads it once and walks only that array.
 //  - bucket heads and Entry::next are std::atomic<Entry*>; Insert fully
 //    constructs an entry, then release-stores it as the new head, so an
 //    acquire load of the pointer sees the entry's name and child.
@@ -18,11 +27,18 @@
 //    torn unique_ptr.
 //  - Remove unlinks the entry but leaves its `next` pointer intact, so a
 //    reader standing on the removed entry still reaches the rest of the
-//    chain (the Linux dcache RCU-unlink rule). When `defer_reclaim` is set
-//    the Entry shell is retired instead of deleted and freed only in the
-//    destructor; a stale traversal therefore never touches freed memory.
-//    (The child inode's lifetime is handled separately by the owner — see
-//    AtomFs::DisposeInode's graveyard.)
+//    chain (the Linux dcache RCU-unlink rule).
+//  - Growth never edits a published chain. It builds a new array from fresh
+//    entry shells, moves each child into its new shell, release-publishes
+//    the new array, and only then retires the old array and its shells,
+//    untouched. A reader still walking the old array finds the names it
+//    would have found before the resize. The caller's version check rejects
+//    whatever it read, since every Insert runs inside a version bump.
+//
+// Retire frees at once, or, when `defer_reclaim` is set, keeps removed
+// shells and replaced arrays until the destructor, so a stale traversal
+// never touches freed memory. (The child inode's lifetime is handled
+// separately by the owner — see AtomFs::DisposeInode's graveyard.)
 //
 // Entries own their child inodes: the directory tree is the ownership tree,
 // and rename moves ownership between tables.
@@ -44,14 +60,18 @@ struct Inode;
 
 class DirTable {
  public:
-  // `defer_reclaim` keeps removed entry shells alive until destruction so
-  // lock-free readers (FindOptimistic) never chase a dangling next pointer.
-  // Leave it false when no reader ever walks the table without the lock.
-  explicit DirTable(uint32_t buckets = 64, bool defer_reclaim = false);
+  // `defer_reclaim` keeps removed entry shells and replaced bucket arrays
+  // alive until destruction so lock-free readers (FindOptimistic) never
+  // chase a dangling pointer. Leave it false when no reader ever walks the
+  // table without the lock.
+  explicit DirTable(bool defer_reclaim = false);
   ~DirTable();
 
   DirTable(const DirTable&) = delete;
   DirTable& operator=(const DirTable&) = delete;
+
+  // The bucket of `name` is Hash(name) & (bucket_count() - 1).
+  static uint64_t Hash(std::string_view name);
 
   // Returns the child inode or nullptr. The returned pointer stays valid
   // while the owning directory's lock is held (or while the lock-coupling
@@ -60,11 +80,11 @@ class DirTable {
   // accounting).
   Inode* Find(std::string_view name, size_t* probes = nullptr) const;
 
-  // Lock-free lookup for the optimistic walk: acquire-loads the chain and
-  // the published child pointer. May return a child that is concurrently
-  // being removed — the caller MUST validate version counters before
-  // trusting anything it read (docs/CONCURRENCY.md §5). Returns nullptr on
-  // a miss or when racing a removal.
+  // Lock-free lookup for the optimistic walk: acquire-loads the bucket
+  // array, the chain and the published child pointer. May return a child
+  // that is concurrently being removed — the caller MUST validate version
+  // counters before trusting anything it read (docs/CONCURRENCY.md §5).
+  // Returns nullptr on a miss or when racing a removal.
   Inode* FindOptimistic(std::string_view name) const;
 
   // Inserts; returns false (and keeps ownership untouched) if `name` exists.
@@ -76,11 +96,15 @@ class DirTable {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  // Heads in the current bucket array; 0 before the first Insert.
+  size_t bucket_count() const;
+
   // Calls fn(name, child) for every entry, in unspecified order.
   void ForEach(const std::function<void(const std::string&, const Inode*)>& fn) const;
 
-  // Releases ownership of every entry (used when tearing down a whole tree
-  // iteratively to avoid deep recursive destructor chains).
+  // Releases ownership of every entry and frees the bucket array (used when
+  // tearing down a whole tree iteratively to avoid deep recursive destructor
+  // chains; never concurrent with FindOptimistic).
   std::vector<std::unique_ptr<Inode>> TakeAll();
 
  private:
@@ -91,11 +115,28 @@ class DirTable {
     std::atomic<Entry*> next{nullptr};
   };
 
-  size_t BucketOf(std::string_view name) const;
-  void Retire(Entry* e);
+  // A power-of-two array of chain heads. Its size is fixed once published.
+  struct Buckets {
+    explicit Buckets(size_t count);
+    std::atomic<Entry*>& HeadOf(std::string_view name) { return heads[Hash(name) & mask]; }
 
-  std::vector<std::atomic<Entry*>> buckets_;
-  std::vector<Entry*> retired_;  // unlinked shells, freed in ~DirTable
+    const size_t mask;
+    const std::unique_ptr<std::atomic<Entry*>[]> heads;
+    Buckets* retired_next = nullptr;  // the retired list, with defer_reclaim
+  };
+
+  Buckets* LockedBuckets() const { return buckets_.load(std::memory_order_relaxed); }
+  // Calls fn(e) for every entry linked from `b`, reading e->next first so
+  // fn may free e. Under the owning lock only.
+  template <typename Fn>
+  static void ForEachEntry(const Buckets& b, Fn fn);
+  Buckets* Grow(Buckets* old);
+  void Retire(Entry* e);
+  void Retire(Buckets* b);
+
+  std::atomic<Buckets*> buckets_{nullptr};
+  Buckets* retired_buckets_ = nullptr;  // replaced arrays, freed in ~DirTable
+  std::vector<Entry*> retired_;         // unlinked shells, freed in ~DirTable
   size_t size_ = 0;
   const bool defer_reclaim_;
 };

@@ -20,9 +20,8 @@ namespace atomfs {
 
 struct Inode {
   Inode(Inum ino_arg, FileType type_arg, std::unique_ptr<Lockable> lock_arg,
-        uint32_t dir_buckets, bool rcu_dir = false)
-      : ino(ino_arg), type(type_arg), lock(std::move(lock_arg)),
-        dir(dir_buckets, rcu_dir) {}
+        bool rcu_dir = false)
+      : ino(ino_arg), type(type_arg), lock(std::move(lock_arg)), dir(rcu_dir) {}
 
   const Inum ino;
   const FileType type;

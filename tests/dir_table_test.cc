@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/core/inode.h"
 #include "src/sim/executor.h"
@@ -13,11 +16,24 @@ namespace atomfs {
 namespace {
 
 std::unique_ptr<Inode> MakeInode(Inum ino, FileType type = FileType::kFile) {
-  return std::make_unique<Inode>(ino, type, Executor::Real().CreateLock(), 4);
+  return std::make_unique<Inode>(ino, type, Executor::Real().CreateLock());
+}
+
+// `count` names that share one bucket in every table of up to 1024 heads,
+// so they form a single chain however far the table has grown.
+std::vector<std::string> CollidingNames(size_t count) {
+  std::vector<std::string> names;
+  for (uint64_t i = 0; names.size() < count; ++i) {
+    std::string name = "n" + std::to_string(i);
+    if ((DirTable::Hash(name) & 1023) == 0) {
+      names.push_back(std::move(name));
+    }
+  }
+  return names;
 }
 
 TEST(DirTable, InsertFindRemove) {
-  DirTable table(8);
+  DirTable table;
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(table.empty());
   EXPECT_EQ(table.Find("a"), nullptr);
@@ -35,7 +51,7 @@ TEST(DirTable, InsertFindRemove) {
 }
 
 TEST(DirTable, DuplicateInsertRejected) {
-  DirTable table(8);
+  DirTable table;
   EXPECT_TRUE(table.Insert("a", MakeInode(1)));
   EXPECT_FALSE(table.Insert("a", MakeInode(2)));
   EXPECT_EQ(table.size(), 1u);
@@ -43,37 +59,105 @@ TEST(DirTable, DuplicateInsertRejected) {
 }
 
 TEST(DirTable, RemoveMissingReturnsNull) {
-  DirTable table(8);
+  DirTable table;
   EXPECT_EQ(table.Remove("nope"), nullptr);
 }
 
 TEST(DirTable, SingleBucketChainsCorrectly) {
-  // Every entry collides: exercises the linked-list path.
-  DirTable table(1);
+  // Every entry collides: exercises the linked-list path, across the
+  // doublings that rehash the chain into each new array.
+  const std::vector<std::string> names = CollidingNames(100);
+  DirTable table;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(table.Insert("n" + std::to_string(i), MakeInode(100 + i)));
+    EXPECT_TRUE(table.Insert(names[i], MakeInode(100 + i)));
   }
   EXPECT_EQ(table.size(), 100u);
+  ASSERT_LE(table.bucket_count(), 1024u);
+  // One chain of 100 links: the probe counts are exactly 1..100.
+  size_t probe_sum = 0;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_NE(table.Find("n" + std::to_string(i)), nullptr);
-    EXPECT_EQ(table.Find("n" + std::to_string(i))->ino, static_cast<Inum>(100 + i));
+    size_t probes = 0;
+    ASSERT_NE(table.Find(names[i], &probes), nullptr);
+    EXPECT_EQ(table.Find(names[i])->ino, static_cast<Inum>(100 + i));
+    probe_sum += probes;
   }
+  EXPECT_EQ(probe_sum, 100u * 101u / 2);
   // Remove from the middle of chains.
   for (int i = 0; i < 100; i += 2) {
-    EXPECT_NE(table.Remove("n" + std::to_string(i)), nullptr);
+    EXPECT_NE(table.Remove(names[i]), nullptr);
   }
   EXPECT_EQ(table.size(), 50u);
   for (int i = 0; i < 100; ++i) {
     if (i % 2 == 0) {
-      EXPECT_EQ(table.Find("n" + std::to_string(i)), nullptr);
+      EXPECT_EQ(table.Find(names[i]), nullptr);
     } else {
-      EXPECT_NE(table.Find("n" + std::to_string(i)), nullptr);
+      EXPECT_NE(table.Find(names[i]), nullptr);
     }
   }
 }
 
+TEST(DirTable, GrowsToKeepLoadFactorAtMostOne) {
+  DirTable table;
+  size_t last = 0;
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(table.Insert("g" + std::to_string(i), MakeInode(i + 1)));
+    const size_t buckets = table.bucket_count();
+    ASSERT_EQ(buckets & (buckets - 1), 0u) << "not a power of two: " << buckets;
+    ASSERT_GE(buckets, table.size());
+    ASSERT_GE(buckets, last) << "shrank";
+    ASSERT_LE(buckets, 2 * table.size() + 8) << "grew more than it had to";
+    last = buckets;
+  }
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_NE(table.Remove("g" + std::to_string(i)), nullptr);
+  }
+  EXPECT_EQ(table.bucket_count(), last) << "never shrinks";
+}
+
+TEST(DirTable, TenThousandInsertsThenRemoveEveryOther) {
+  constexpr int kNames = 10000;
+  for (bool defer : {false, true}) {
+    DirTable table(defer);
+    for (int i = 0; i < kNames; ++i) {
+      ASSERT_TRUE(table.Insert("e" + std::to_string(i), MakeInode(i + 1)));
+    }
+    for (int i = 0; i < kNames; i += 2) {
+      ASSERT_NE(table.Remove("e" + std::to_string(i)), nullptr);
+    }
+    ASSERT_EQ(table.size(), static_cast<size_t>(kNames / 2));
+    for (int i = 0; i < kNames; ++i) {
+      const std::string name = "e" + std::to_string(i);
+      if (i % 2 == 0) {
+        EXPECT_EQ(table.Find(name), nullptr) << name;
+        EXPECT_EQ(table.FindOptimistic(name), nullptr) << name;
+      } else {
+        ASSERT_NE(table.Find(name), nullptr) << name;
+        EXPECT_EQ(table.Find(name)->ino, static_cast<Inum>(i + 1));
+        EXPECT_EQ(table.FindOptimistic(name), table.Find(name));
+      }
+    }
+    std::map<std::string, int> visits;
+    table.ForEach([&visits](const std::string& name, const Inode* child) {
+      EXPECT_NE(child, nullptr);
+      ++visits[name];
+    });
+    ASSERT_EQ(visits.size(), static_cast<size_t>(kNames / 2));
+    for (const auto& [name, count] : visits) {
+      EXPECT_EQ(count, 1) << name;
+    }
+    std::set<Inum> taken;
+    for (const auto& child : table.TakeAll()) {
+      ASSERT_NE(child, nullptr);
+      EXPECT_EQ(child->ino % 2, 0u);  // odd i survived, so ino = i + 1 is even
+      EXPECT_TRUE(taken.insert(child->ino).second) << "taken twice: " << child->ino;
+    }
+    EXPECT_EQ(taken.size(), static_cast<size_t>(kNames / 2));
+    EXPECT_EQ(table.size(), 0u);
+  }
+}
+
 TEST(DirTable, ForEachVisitsAll) {
-  DirTable table(16);
+  DirTable table;
   for (int i = 0; i < 37; ++i) {
     EXPECT_TRUE(table.Insert("k" + std::to_string(i), MakeInode(i + 1)));
   }
@@ -86,7 +170,7 @@ TEST(DirTable, ForEachVisitsAll) {
 }
 
 TEST(DirTable, TakeAllDrainsOwnership) {
-  DirTable table(4);
+  DirTable table;
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(table.Insert("k" + std::to_string(i), MakeInode(i + 1)));
   }
@@ -96,16 +180,27 @@ TEST(DirTable, TakeAllDrainsOwnership) {
   EXPECT_EQ(table.Find("k0"), nullptr);
 }
 
-TEST(DirTable, ZeroBucketRequestIsClamped) {
-  DirTable table(0);
-  EXPECT_TRUE(table.Insert("a", MakeInode(1)));
+TEST(DirTable, EmptyTableHasNoBucketArray) {
+  // A file inode's table is never inserted into, so it never allocates.
+  auto file = MakeInode(1);
+  EXPECT_EQ(file->dir.bucket_count(), 0u);
+  DirTable table;
+  EXPECT_EQ(table.bucket_count(), 0u);
+  EXPECT_EQ(table.Find("a"), nullptr);
+  EXPECT_EQ(table.FindOptimistic("a"), nullptr);
+  EXPECT_EQ(table.Remove("a"), nullptr);
+  table.ForEach([](const std::string&, const Inode*) { ADD_FAILURE() << "visited an entry"; });
+  EXPECT_TRUE(table.TakeAll().empty());
+  EXPECT_EQ(table.bucket_count(), 0u);
+  EXPECT_TRUE(table.Insert("a", MakeInode(2)));
+  EXPECT_GT(table.bucket_count(), 0u);
   EXPECT_NE(table.Find("a"), nullptr);
 }
 
 // --- optimistic (lock-free reader) lookups -----------------------------------
 
 TEST(DirTable, FindOptimisticSeesPublishedEntries) {
-  DirTable table(8);
+  DirTable table;
   EXPECT_EQ(table.FindOptimistic("a"), nullptr);
   EXPECT_TRUE(table.Insert("a", MakeInode(10)));
   ASSERT_NE(table.FindOptimistic("a"), nullptr);
@@ -118,17 +213,18 @@ TEST(DirTable, FindOptimisticSeesPublishedEntries) {
 }
 
 TEST(DirTable, FindOptimisticWalksCollisionChains) {
-  DirTable table(1);  // every entry collides
+  const std::vector<std::string> names = CollidingNames(50);  // one chain
+  DirTable table(/*defer_reclaim=*/true);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(table.Insert("n" + std::to_string(i), MakeInode(100 + i)));
+    EXPECT_TRUE(table.Insert(names[i], MakeInode(100 + i)));
   }
   // Unlink every other entry mid-chain, then check both halves: removed
   // names invisible, survivors still reachable through the spliced chain.
   for (int i = 0; i < 50; i += 2) {
-    EXPECT_NE(table.Remove("n" + std::to_string(i)), nullptr);
+    EXPECT_NE(table.Remove(names[i]), nullptr);
   }
   for (int i = 0; i < 50; ++i) {
-    const Inode* found = table.FindOptimistic("n" + std::to_string(i));
+    const Inode* found = table.FindOptimistic(names[i]);
     if (i % 2 == 0) {
       EXPECT_EQ(found, nullptr) << i;
     } else {
@@ -144,7 +240,7 @@ TEST(DirTable, DeferredReclaimRetiresShellsUntilDestruction) {
   // walking a chain through an unlinked entry. Single-threaded here: the
   // point is that reuse of a name after removal works and nothing leaks
   // (ASan covers the leak half when the table dies).
-  DirTable table(4, /*defer_reclaim=*/true);
+  DirTable table(/*defer_reclaim=*/true);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 20; ++i) {
       EXPECT_TRUE(table.Insert("k" + std::to_string(i), MakeInode(round * 100 + i + 1)));

@@ -833,8 +833,9 @@ TEST(DocsDriftTest, ConcurrencyDocMatchesRcuWalkConstantsAndAtomics) {
 
   // Every atomic in the walk must have memory-order table rows.
   for (const char* atomic_name :
-       {"| `Inode::version` |", "| `Inode::held` |", "| bucket head `buckets_[i]` |",
-        "| `Entry::next` |", "| `Entry::pub` |"}) {
+       {"| `Inode::version` |", "| `Inode::held` |", "| `DirTable::buckets_` |",
+        "| retired arrays and shells |", "| bucket head `heads[i]` |", "| `Entry::next` |",
+        "| `Entry::pub` |"}) {
     EXPECT_NE(doc.find(atomic_name), std::string::npos)
         << "memory-order table lost rows for " << atomic_name;
   }

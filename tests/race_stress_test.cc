@@ -12,6 +12,8 @@
 // Targets, matching the repo's cross-thread handoffs:
 //   * AtomFS lock coupling under a rename/lookup/unlink path-interdependency
 //     mix, with the CRL-H monitor attached (ghost state is itself shared).
+//   * DirTable growth under lock-free readers: the bucket-array publish and
+//     the retirement of replaced arrays and shells.
 //   * MetricsRegistry: snapshot readers racing sharded writers, asserting
 //     the count/sum coherence the release/acquire bucket protocol promises.
 //   * TraceRing: concurrent writers vs. snapshot readers, asserting events
@@ -29,12 +31,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/client/client.h"
 #include "src/core/atom_fs.h"
+#include "src/core/dir_table.h"
+#include "src/core/inode.h"
 #include "src/crlh/monitor.h"
 #include "src/net/wire.h"
 #include "src/obs/export.h"
@@ -226,6 +231,167 @@ TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
             static_cast<uint64_t>(readers) * static_cast<uint64_t>(ops))
       << "event accounting broke: attempts=" << attempts << " failures=" << failures
       << " fallbacks=" << fallbacks;
+}
+
+// The optimistic walk against a directory whose bucket array keeps doubling
+// under it: readers stat names in /d lock-free while one writer creates
+// enough entries to grow the table from its first array through several
+// doublings, unlinking some on the way. A reader that walks a replaced array
+// must stay memory-safe and fail validation, so the monitored run must stay
+// violation-free and the rcu-walk counters must balance exactly.
+TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
+  const uint64_t seed = StressSeed();
+  const int readers = 3;
+  // The monitor checks the whole tree at every LP, so keep /d modest: the
+  // first 8 heads still double 4-6 times.
+  const int files = 512 / kScale;
+
+  CrlhMonitor monitor;
+  MetricsRegistry registry;
+  TracingObserver tracer(&registry);
+  TeeObserver tee(&monitor, &tracer);
+  AtomFs::Options opts;
+  opts.observer = &tee;
+  opts.enable_rcu_walk = true;
+  AtomFs fs(std::move(opts));
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> reader_ops{0};
+  RaceBarrier barrier(1 + readers);
+  std::vector<std::thread> cohort;
+  cohort.reserve(1 + readers);
+  cohort.emplace_back([&] {
+    ScheduleShaker shaker(seed, 0);
+    barrier.Arrive();
+    for (int i = 0; i < files && std::chrono::steady_clock::now() < deadline; ++i) {
+      RunOp(fs, OpCall::MknodOf(*ParsePath("/d/f" + std::to_string(i))));
+      if (i % 3 == 2) {
+        RunOp(fs, OpCall::UnlinkOf(*ParsePath("/d/f" + std::to_string(i - 1))));
+      }
+      if (i % 16 == 0) {
+        shaker.Perturb();
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  for (int r = 0; r < readers; ++r) {
+    cohort.emplace_back([&, r] {
+      Rng rng(seed * 7777 + r);
+      ScheduleShaker shaker(seed, static_cast<uint32_t>(1 + r));
+      barrier.Arrive();
+      uint64_t ops = 0;
+      while (!writer_done.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < deadline) {
+        RunOp(fs, OpCall::StatOf(*ParsePath("/d/f" + std::to_string(rng.Below(files)))));
+        ++ops;
+        if (ops % 32 == 0) {
+          shaker.Perturb();
+        }
+      }
+      reader_ops.fetch_add(ops, std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : cohort) {
+    th.join();
+  }
+
+  ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "writer did not finish in time";
+  ASSERT_TRUE(monitor.ok()) << monitor.violations()[0];
+  EXPECT_TRUE(monitor.CheckQuiescent(fs.SnapshotSpec()));
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  const uint64_t attempts = snap.CounterValue("core.rcuwalk.attempts");
+  const uint64_t failures = snap.CounterValue("core.rcuwalk.validation_failures");
+  const uint64_t fallbacks = snap.CounterValue("core.rcuwalk.fallbacks");
+  EXPECT_GT(attempts, 0u) << "the optimistic path never engaged";
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
+  EXPECT_EQ(attempts - failures + fallbacks, reader_ops.load())
+      << "event accounting broke: attempts=" << attempts << " failures=" << failures
+      << " fallbacks=" << fallbacks;
+  const auto dir = fs.Stat("/d");
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(dir->size, static_cast<uint64_t>(files - files / 3));
+}
+
+// The same resize, one level down and without the monitor's serialization:
+// readers call DirTable::FindOptimistic on whichever table the writer is
+// filling, so many stand on a bucket array at the moment it is replaced.
+// Each table grows from 8 to 64 heads, so the run replaces thousands of
+// small arrays whose shells are retired right after the publish. A replaced
+// array or shell must stay readable (ASan, TSan) and every hit must be the
+// inode that name was inserted with, whichever array it was found through.
+TEST(RaceStress, OptimisticLookupsVsTableGrowth) {
+  const uint64_t seed = StressSeed();
+  const int readers = 3;
+  const int tables = 1000 / kScale;
+  const int per_table = 64;
+  std::vector<std::string> names;
+  for (int i = 0; i < per_table; ++i) {
+    names.push_back("e" + std::to_string(i));
+  }
+  auto ino_of = [per_table](int t, int i) { return static_cast<Inum>(t * per_table + i + 1); };
+  std::vector<std::unique_ptr<DirTable>> dirs;
+  for (int t = 0; t < tables; ++t) {
+    dirs.push_back(std::make_unique<DirTable>(/*defer_reclaim=*/true));
+  }
+  std::vector<std::unique_ptr<Inode>> removed;  // kept alive until the readers stop
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::atomic<int> current{0};
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> wrong{0};
+  RaceBarrier barrier(1 + readers);
+  std::vector<std::thread> cohort;
+  cohort.emplace_back([&] {
+    ScheduleShaker shaker(seed, 0);
+    barrier.Arrive();
+    for (int t = 0; t < tables && std::chrono::steady_clock::now() < deadline; ++t) {
+      current.store(t, std::memory_order_release);
+      for (int i = 0; i < per_table; ++i) {
+        dirs[t]->Insert(names[i], std::make_unique<Inode>(ino_of(t, i), FileType::kFile,
+                                                          Executor::Real().CreateLock()));
+        if (i % 3 == 2) {
+          removed.push_back(dirs[t]->Remove(names[i - 1]));
+        }
+      }
+      if (t % 16 == 0) {
+        shaker.Perturb();
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  for (int r = 0; r < readers; ++r) {
+    cohort.emplace_back([&, r] {
+      Rng rng(seed * 7777 + r);
+      barrier.Arrive();
+      uint64_t local_hits = 0;
+      uint64_t local_wrong = 0;
+      while (!writer_done.load(std::memory_order_acquire)) {
+        const int t = current.load(std::memory_order_acquire);
+        const int i = static_cast<int>(rng.Below(per_table));
+        if (const Inode* found = dirs[t]->FindOptimistic(names[i]); found != nullptr) {
+          ++local_hits;
+          local_wrong += found->ino != ino_of(t, i) ? 1 : 0;
+        }
+      }
+      hits.fetch_add(local_hits, std::memory_order_relaxed);
+      wrong.fetch_add(local_wrong, std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : cohort) {
+    th.join();
+  }
+
+  ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "writer did not finish in time";
+  EXPECT_GT(hits.load(), 0u) << "readers never overlapped the writer";
+  EXPECT_EQ(wrong.load(), 0u) << "a lookup returned another name's inode";
+  for (const auto& dir : dirs) {
+    EXPECT_EQ(dir->size(), static_cast<size_t>(per_table - per_table / 3));
+    EXPECT_EQ(dir->bucket_count(), static_cast<size_t>(per_table));
+  }
 }
 
 // --- MetricsRegistry snapshot vs. writers ------------------------------------

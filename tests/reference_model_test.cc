@@ -2,8 +2,9 @@
 //   * DirTable  vs std::map<std::string, Inum>
 //   * FileData  vs std::vector<std::byte>
 // Randomized operation sequences must keep the implementation and the model
-// in lockstep. Parameterized over seeds and (for DirTable) bucket counts so
-// chain handling is exercised at every load factor.
+// in lockstep. Parameterized over seeds and (for DirTable) name-space sizes
+// so the table is driven through its doublings to a range of sizes, with and
+// without deferred reclamation.
 
 #include <gtest/gtest.h>
 
@@ -20,23 +21,23 @@ namespace atomfs {
 namespace {
 
 std::unique_ptr<Inode> MakeInode(Inum ino) {
-  return std::make_unique<Inode>(ino, FileType::kFile, Executor::Real().CreateLock(), 4);
+  return std::make_unique<Inode>(ino, FileType::kFile, Executor::Real().CreateLock());
 }
 
 struct DirTableParams {
   uint64_t seed;
-  uint32_t buckets;
+  uint32_t names;  // distinct names the sequence draws from
 };
 
 class DirTableFuzz : public ::testing::TestWithParam<DirTableParams> {};
 
 TEST_P(DirTableFuzz, MatchesMapModel) {
   Rng rng(GetParam().seed);
-  DirTable table(GetParam().buckets);
+  DirTable table(/*defer_reclaim=*/GetParam().seed % 2 == 0);
   std::map<std::string, Inum> model;
   Inum next = 100;
   for (int step = 0; step < 3000; ++step) {
-    const std::string name = "k" + std::to_string(rng.Below(64));
+    const std::string name = "k" + std::to_string(rng.Below(GetParam().names));
     switch (rng.Below(4)) {
       case 0: {  // insert
         const Inum ino = next++;
@@ -82,7 +83,7 @@ TEST_P(DirTableFuzz, MatchesMapModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DirTableFuzz,
-                         ::testing::Values(DirTableParams{1, 1}, DirTableParams{2, 1},
+                         ::testing::Values(DirTableParams{1, 64}, DirTableParams{2, 64},
                                            DirTableParams{3, 2}, DirTableParams{4, 7},
                                            DirTableParams{5, 16}, DirTableParams{6, 64},
                                            DirTableParams{7, 257}, DirTableParams{8, 1024}));
