@@ -66,14 +66,6 @@ Status SendBytes(int sock, std::span<const std::byte> data) {
   return Status::Ok();
 }
 
-void AppendFrame(std::vector<std::byte>& out, std::span<const std::byte> payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((len >> (8 * i)) & 0xff));
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
 }  // namespace
 
 // --- ClientSession -----------------------------------------------------------
@@ -188,13 +180,12 @@ Status ClientSession::FlushLocked() {
   // requests coalesce into one MSGBATCH frame up to the window, the batch
   // cap, and the frame cap; a run of one goes unwrapped. Frames accumulate
   // into one buffer so a whole flush is typically a single send(2).
-  std::vector<std::byte> wirebuf;
   auto send_buffered = [&]() -> Status {
-    if (wirebuf.empty()) {
+    if (sendbuf_.empty()) {
       return Status::Ok();
     }
-    Status st = SendBytes(sock_, wirebuf);
-    wirebuf.clear();
+    Status st = SendBytes(sock_, sendbuf_);
+    ClearAndTrim(sendbuf_);
     return st.ok() ? st : BreakLocked(st);
   };
   size_t i = 0;
@@ -227,15 +218,16 @@ Status ClientSession::FlushLocked() {
       }
     }
     if (units == 1) {
-      AppendFrame(wirebuf, staged_[i].payload);
+      AppendFrame(sendbuf_, staged_[i].payload);
     } else {
-      WireWriter w;
-      w.U8(static_cast<uint8_t>(WireOp::kMsgBatch));
-      w.U32(static_cast<uint32_t>(units));
+      // MSGBATCH straight into the send buffer: u8 opcode | u32 count |
+      // `count` blobs, each laid out exactly like a frame.
+      AppendU32(sendbuf_, static_cast<uint32_t>(group_bytes));
+      sendbuf_.push_back(static_cast<std::byte>(WireOp::kMsgBatch));
+      AppendU32(sendbuf_, static_cast<uint32_t>(units));
       for (size_t k = i; k < j; ++k) {
-        w.Blob(staged_[k].payload);
+        AppendFrame(sendbuf_, staged_[k].payload);
       }
-      AppendFrame(wirebuf, w.buf());
     }
     for (size_t k = i; k < j; ++k) {
       staged_[k].pending->staged = false;
@@ -248,19 +240,39 @@ Status ClientSession::FlushLocked() {
 }
 
 Status ClientSession::ReadOneReplyLocked() {
-  auto frame = RecvFrame(sock_);
-  if (!frame.ok()) {
-    // A clean server-side close mid-conversation is still a transport
-    // failure from the caller's point of view.
-    return BreakLocked(
-        Status(frame.status().code() == Errc::kProto ? Errc::kProto : Errc::kIo));
+  // Replies are parsed in place from the receive buffer; the socket is read
+  // only when no whole frame is buffered, and then for as much as fits.
+  std::span<const std::byte> payload;
+  for (;;) {
+    const std::span<const std::byte> unread = rbuf_.Unread();
+    size_t need = kWireFrameHeaderBytes;
+    if (unread.size() >= need) {
+      const uint32_t len = PeekFrameLen(unread.data());
+      if (len > kWireMaxFrameBytes) {
+        return BreakLocked(Status(Errc::kProto));
+      }
+      need += len;
+      if (unread.size() >= need) {
+        payload = unread.subspan(kWireFrameHeaderBytes, len);
+        break;
+      }
+    }
+    const std::span<std::byte> room = rbuf_.Room(need - unread.size());
+    const ssize_t n = recv(sock_, room.data(), room.size(), 0);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      // A server-side close, between frames or inside one, is a transport
+      // failure from the caller's point of view.
+      return BreakLocked(Status(Errc::kIo));
+    }
+    rbuf_.Fill(static_cast<size_t>(n));
   }
-  WireReader r(*frame);
-  uint8_t wire_status = 0;
-  if (!r.U8(&wire_status)) {
-    return BreakLocked(Status(Errc::kProto));
+  if (payload.empty()) {
+    return BreakLocked(Status(Errc::kProto));  // no status byte
   }
-  const Errc code = ErrcOfWireStatus(wire_status);
+  const Errc code = ErrcOfWireStatus(static_cast<uint8_t>(payload[0]));
   if (outstanding_.empty()) {
     // Unsolicited frame: the server's idle-timeout courtesy reply carries
     // kTimedOut; anything else means framing drifted.
@@ -271,8 +283,9 @@ Status ClientSession::ReadOneReplyLocked() {
   if (code != Errc::kOk) {
     p->result = code;
   } else {
-    p->result = std::vector<std::byte>(frame->begin() + 1, frame->end());
+    p->result = std::vector<std::byte>(payload.begin() + 1, payload.end());
   }
+  rbuf_.Consume(kWireFrameHeaderBytes + payload.size());
   p->done.store(true, std::memory_order_release);
   return Status::Ok();
 }

@@ -12,9 +12,12 @@
 // requests into MSGBATCH frames (respecting the HELLO-negotiated
 // `max_inflight` window) and puts them on the wire, Future::Wait() drives
 // the socket until that request's reply arrives. Replies always resolve in
-// submission order. The synchronous FileSystem methods are thin
-// submit+flush+wait wrappers, so they cost one round trip exactly as
-// before; pipelined callers grab session() and overlap many.
+// submission order. Bytes move in bulk both ways: a flush packs its frames
+// into one reused buffer for one send(2), and one recv(2) takes every reply
+// the kernel has buffered, which are then parsed in place (a batch of 8
+// replies usually costs one receive, not 16). The synchronous FileSystem
+// methods are thin submit+flush+wait wrappers, so they cost one round trip
+// exactly as before; pipelined callers grab session() and overlap many.
 //
 // A mutex serializes concurrent callers on the same session; parallel load
 // wants one client per thread (see bench/bench_server_throughput.cc).
@@ -130,6 +133,8 @@ class ClientSession {
   Status broken_ = Status::Ok();
   std::vector<StagedOp> staged_;
   std::deque<std::shared_ptr<Pending>> outstanding_;  // on the wire, FIFO
+  std::vector<std::byte> sendbuf_;  // frames of the flush being packed
+  WireRecvBuffer rbuf_;             // received reply bytes, parsed in place
 };
 
 class AtomFsClient : public FileSystem {

@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -599,6 +600,70 @@ bool ParseMetricsSnapshot(WireReader& r, MetricsSnapshot* out) {
   return true;
 }
 
+// --- framing helpers ---------------------------------------------------------
+
+void AppendU32(std::vector<std::byte>& out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void AppendFrame(std::vector<std::byte>& out, std::span<const std::byte> payload) {
+  AppendU32(out, static_cast<uint32_t>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+uint32_t PeekFrameLen(const std::byte* header) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint32_t>(header[i]);
+  }
+  return v;
+}
+
+void ClearAndTrim(std::vector<std::byte>& buf) {
+  buf.clear();
+  if (buf.capacity() > kWireBufferKeepBytes) {
+    std::vector<std::byte> fresh;
+    fresh.reserve(kWireBufferKeepBytes);
+    buf.swap(fresh);
+  }
+}
+
+std::span<std::byte> WireRecvBuffer::Room(size_t min_room) {
+  const size_t unread = len_ - pos_;
+  if (cap_ - len_ < std::max(min_room, kWireBufferKeepBytes) && pos_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + pos_, unread);
+    pos_ = 0;
+    len_ = unread;
+  }
+  if (cap_ - len_ < min_room) {
+    // Doubling keeps a large frame arriving in small reads linear in copies.
+    const size_t cap = std::max(2 * cap_, unread + std::max(min_room, kWireBufferKeepBytes));
+    std::unique_ptr<std::byte[]> grown(new std::byte[cap]);  // default-init: no zero-fill
+    if (unread > 0) {
+      std::memcpy(grown.get(), buf_.get() + pos_, unread);
+    }
+    buf_ = std::move(grown);
+    cap_ = cap;
+    pos_ = 0;
+    len_ = unread;
+  }
+  return {buf_.get() + len_, cap_ - len_};
+}
+
+void WireRecvBuffer::Consume(size_t n) {
+  pos_ += n;
+  if (pos_ == len_) {
+    pos_ = 0;
+    len_ = 0;
+    if (cap_ > kWireBufferKeepBytes) {
+      buf_.reset(new std::byte[kWireBufferKeepBytes]);
+      cap_ = kWireBufferKeepBytes;
+    }
+  }
+}
+
 // --- frame transport ---------------------------------------------------------
 
 namespace {
@@ -641,16 +706,14 @@ int RecvAll(int sock, std::byte* data, size_t len) {
 }  // namespace
 
 Status SendFrame(int sock, std::span<const std::byte> payload) {
-  WireWriter header;
-  header.U32(static_cast<uint32_t>(payload.size()));
-  if (Status st = SendAll(sock, header.buf().data(), header.buf().size()); !st.ok()) {
-    return st;
-  }
-  return SendAll(sock, payload.data(), payload.size());
+  std::vector<std::byte> frame;
+  frame.reserve(kWireFrameHeaderBytes + payload.size());
+  AppendFrame(frame, payload);
+  return SendAll(sock, frame.data(), frame.size());
 }
 
 Result<std::vector<std::byte>> RecvFrame(int sock, uint32_t max_bytes) {
-  std::byte header[4];
+  std::byte header[kWireFrameHeaderBytes];
   const int rc = RecvAll(sock, header, sizeof header);
   if (rc == 0) {
     return Errc::kNoEnt;  // clean close between frames
@@ -658,9 +721,7 @@ Result<std::vector<std::byte>> RecvFrame(int sock, uint32_t max_bytes) {
   if (rc < 0) {
     return Errc::kIo;
   }
-  WireReader r(std::span<const std::byte>(header, sizeof header));
-  uint32_t len = 0;
-  r.U32(&len);
+  const uint32_t len = PeekFrameLen(header);
   if (len > max_bytes) {
     return Errc::kProto;
   }

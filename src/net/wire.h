@@ -42,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -255,6 +256,54 @@ bool ParseServerStats(WireReader& r, WireServerStats* out);
 // a protocol error.
 void EncodeMetricsSnapshot(WireWriter& w, const MetricsSnapshot& snap);
 bool ParseMetricsSnapshot(WireReader& r, MetricsSnapshot* out);
+
+// --- framing helpers ---------------------------------------------------------
+// Shared by both ends of the socket: the client's flush packer and session
+// reader, the server's decoder and outbox, and the blocking helpers below.
+
+inline constexpr size_t kWireFrameHeaderBytes = 4;
+
+// Receive buffers, send buffers and outboxes give back capacity above this
+// once drained, so a burst (a 4 MiB read reply) does not stay pinned on an
+// idle connection. It is also the size a receive buffer starts at.
+inline constexpr size_t kWireBufferKeepBytes = 64u << 10;
+
+// Appends `v` little-endian (the layout of every wire integer).
+void AppendU32(std::vector<std::byte>& out, uint32_t v);
+// Appends one frame: the payload's u32 length, then the payload. A blob
+// inside a payload has the same layout.
+void AppendFrame(std::vector<std::byte>& out, std::span<const std::byte> payload);
+// The payload length declared by the frame header at `header` (4 bytes).
+uint32_t PeekFrameLen(const std::byte* header);
+// Empties `buf` and gives back its capacity above kWireBufferKeepBytes.
+void ClearAndTrim(std::vector<std::byte>& buf);
+
+// Receive side of a framed stream. Bytes land in the spare room past the
+// filled end (storage is never value-initialised), whole frames are parsed
+// in place from Unread(), and consumed bytes are reclaimed by moving the
+// unread tail to the front only when room runs short.
+class WireRecvBuffer {
+ public:
+  // Received bytes not yet consumed.
+  std::span<const std::byte> Unread() const { return {buf_.get() + pos_, len_ - pos_}; }
+  // Spare room past the filled end, at least `min_room` bytes. Compacts
+  // first; grows (at least doubling) only when compacting is not enough,
+  // and then leaves at least kWireBufferKeepBytes of room.
+  std::span<std::byte> Room(size_t min_room);
+  // Marks `n` bytes of Room() as received.
+  void Fill(size_t n) { len_ += n; }
+  // Drops `n` bytes off the front of Unread(). Once nothing is left unread
+  // the buffer restarts at its front and gives back capacity above
+  // kWireBufferKeepBytes.
+  void Consume(size_t n);
+  void Clear() { Consume(len_ - pos_); }
+
+ private:
+  std::unique_ptr<std::byte[]> buf_;
+  size_t cap_ = 0;
+  size_t pos_ = 0;  // first unread byte
+  size_t len_ = 0;  // end of the received bytes
+};
 
 // --- frame transport ---------------------------------------------------------
 // Blocking, whole-frame socket I/O. SendFrame uses MSG_NOSIGNAL so a dead

@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -27,10 +26,8 @@ namespace {
 
 // How much one readiness cycle will read from a single connection before
 // yielding to the shard's other connections (fairness under pipelined load).
-constexpr size_t kReadChunk = 64u << 10;
+constexpr size_t kReadChunk = kWireBufferKeepBytes;
 constexpr size_t kMaxReadPerCycle = 256u << 10;
-// iovec slots offered to one sendmsg; the flush loop chunks longer outboxes.
-constexpr int kMaxIov = 64;
 
 uint64_t NowMs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -38,13 +35,11 @@ uint64_t NowMs() {
                                    .count());
 }
 
-// Success responses begin with wire status 0.
-std::vector<std::byte> OkResponse(WireWriter&& body) {
-  std::vector<std::byte> out;
-  out.reserve(1 + body.buf().size());
-  out.push_back(std::byte{0});
-  out.insert(out.end(), body.buf().begin(), body.buf().end());
-  return out;
+// Success responses begin with wire status 0; the body is written after it.
+WireWriter OkBody() {
+  WireWriter w;
+  w.U8(0);
+  return w;
 }
 
 std::vector<std::byte> StatusResponse(Status st) {
@@ -115,7 +110,7 @@ std::vector<std::byte> FsOpResponse(OpKind kind, const FsOpResult& r) {
   if (!r.status.ok()) {
     return StatusResponse(r.status);
   }
-  WireWriter body;
+  WireWriter body = OkBody();
   switch (kind) {
     case OpKind::kStat:
       EncodeAttr(body, r.attr);
@@ -132,27 +127,7 @@ std::vector<std::byte> FsOpResponse(OpKind kind, const FsOpResult& r) {
     default:
       break;  // status-only reply
   }
-  return OkResponse(std::move(body));
-}
-
-// Prepends the u32 length header: a ready-to-send frame.
-std::vector<std::byte> FrameOf(std::span<const std::byte> payload) {
-  std::vector<std::byte> out;
-  out.reserve(4 + payload.size());
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((len >> (8 * i)) & 0xff));
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-uint32_t PeekU32(const std::byte* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint32_t>(p[i]);
-  }
-  return v;
+  return body.Take();
 }
 
 void SetNonBlocking(int fd) {
@@ -172,8 +147,7 @@ struct AtomFsServer::Conn {
   Vfs vfs;                  // per-connection descriptor table
   uint64_t active_txn = 0;  // open transaction id (0 = none)
 
-  std::vector<std::byte> rbuf;
-  size_t rpos = 0;
+  WireRecvBuffer rbuf;  // received request bytes, decoded in place
   bool peer_eof = false;
   bool poisoned = false;  // framing broke; never read or decode again
   bool stalled = false;   // decode parked on a full window (metric edge)
@@ -185,18 +159,17 @@ struct AtomFsServer::Conn {
   uint32_t armed_mask = 0;
   uint64_t last_activity_ms = 0;
 
-  std::deque<std::vector<std::byte>> outbox;  // framed replies, FIFO
-  size_t outbox_bytes = 0;
-  size_t out_head_off = 0;  // bytes of outbox.front() already written
+  // Framed replies back to back, in request order; [out_off, size()) is
+  // not yet sent.
+  std::vector<std::byte> outbox;
+  size_t out_off = 0;
   uint32_t window = 1;      // negotiated max_inflight
   bool want_close = false;  // flush the outbox, then close
   bool dead = false;        // transport broken; close now
 
   // Queues one reply frame behind the earlier ones.
-  void Reply(std::span<const std::byte> payload) {
-    outbox.push_back(FrameOf(payload));
-    outbox_bytes += outbox.back().size();
-  }
+  void Reply(std::span<const std::byte> payload) { AppendFrame(outbox, payload); }
+  size_t Unsent() const { return outbox.size() - out_off; }
 };
 
 struct AtomFsServer::Shard {
@@ -498,11 +471,10 @@ void AtomFsServer::ReadAvailable(Conn* c) {
   }
   size_t total = 0;
   for (;;) {
-    const size_t old_size = c->rbuf.size();
-    c->rbuf.resize(old_size + kReadChunk);
-    const ssize_t n = recv(c->fd, c->rbuf.data() + old_size, kReadChunk, 0);
+    const std::span<std::byte> spare = c->rbuf.Room(kReadChunk);
+    const std::span<std::byte> room = spare.first(std::min(spare.size(), kMaxReadPerCycle - total));
+    const ssize_t n = recv(c->fd, room.data(), room.size(), 0);
     if (n < 0) {
-      c->rbuf.resize(old_size);
       if (errno == EINTR) {
         continue;
       }
@@ -512,13 +484,12 @@ void AtomFsServer::ReadAvailable(Conn* c) {
       break;
     }
     if (n == 0) {
-      c->rbuf.resize(old_size);
       c->peer_eof = true;
       break;
     }
-    c->rbuf.resize(old_size + static_cast<size_t>(n));
+    c->rbuf.Fill(static_cast<size_t>(n));
     total += static_cast<size_t>(n);
-    if (static_cast<size_t>(n) < kReadChunk || total >= kMaxReadPerCycle) {
+    if (static_cast<size_t>(n) < room.size() || total >= kMaxReadPerCycle) {
       break;  // drained, or yield to the shard's other connections
     }
   }
@@ -528,7 +499,7 @@ void AtomFsServer::ReadAvailable(Conn* c) {
 void AtomFsServer::Drain(Shard& shard, Conn* c) {
   // Admission stops while the peer leaves its replies unread; the EPOLLOUT
   // that empties the outbox drains again.
-  if (!c->dead && c->outbox_bytes <= opts_.max_outbox_bytes) {
+  if (!c->dead && c->Unsent() <= opts_.max_outbox_bytes) {
     const bool was_poisoned = c->poisoned;
     const std::vector<WireRequest> todo = DecodeBuffered(c);
     Execute(*c, todo);
@@ -541,7 +512,7 @@ void AtomFsServer::Drain(Shard& shard, Conn* c) {
     if (!FlushOutbox(shard, c)) {
       return;
     }
-    if (c->parked != nullptr && !c->runnable && c->outbox_bytes <= opts_.max_outbox_bytes) {
+    if (c->parked != nullptr && !c->runnable && c->Unsent() <= opts_.max_outbox_bytes) {
       // One window per turn: the rest waits behind the loop's other work.
       c->runnable = true;
       shard.runnable.push_back(c);
@@ -574,22 +545,21 @@ std::vector<WireRequest> AtomFsServer::DecodeBuffered(Conn* c) {
       c->parked.reset();
       c->stalled = false;
     }
-    const size_t avail = c->rbuf.size() - c->rpos;
-    if (avail < 4) {
+    const std::span<const std::byte> unread = c->rbuf.Unread();
+    if (unread.size() < kWireFrameHeaderBytes) {
       break;
     }
-    const uint32_t len = PeekU32(c->rbuf.data() + c->rpos);
+    const uint32_t len = PeekFrameLen(unread.data());
     if (len > opts_.max_frame_bytes) {
       // Oversized declared length: framing is beyond resynchronization.
       PoisonConn(c);
       break;
     }
-    if (avail < 4 + static_cast<size_t>(len)) {
+    if (unread.size() < kWireFrameHeaderBytes + len) {
       break;
     }
-    auto payload = std::span<const std::byte>(c->rbuf.data() + c->rpos + 4, len);
-    Result<WireRequest> req = ParseRequest(payload);
-    c->rpos += 4 + static_cast<size_t>(len);
+    Result<WireRequest> req = ParseRequest(unread.subspan(kWireFrameHeaderBytes, len));
+    c->rbuf.Consume(kWireFrameHeaderBytes + len);
     if (!req.ok()) {
       PoisonConn(c);
       break;
@@ -599,17 +569,14 @@ std::vector<WireRequest> AtomFsServer::DecodeBuffered(Conn* c) {
     c->parked = std::make_unique<WireRequest>(std::move(*req));
     // Loop back to the admission step above.
   }
-  if (c->rpos > 0 && (c->rpos == c->rbuf.size() || c->rpos >= kReadChunk)) {
-    c->rbuf.erase(c->rbuf.begin(), c->rbuf.begin() + static_cast<ptrdiff_t>(c->rpos));
-    c->rpos = 0;
-  }
   // EOF with everything decodable decoded: answer what was admitted, flush,
   // then close. A trailing partial frame is dropped with the connection; a
   // parked frame (parsed or still buffered) is work still owed.
   if (c->peer_eof && !c->poisoned && c->parked == nullptr) {
-    const size_t avail = c->rbuf.size() - c->rpos;
+    const std::span<const std::byte> unread = c->rbuf.Unread();
     const bool complete_frame_parked =
-        avail >= 4 && avail >= 4 + static_cast<size_t>(PeekU32(c->rbuf.data() + c->rpos));
+        unread.size() >= kWireFrameHeaderBytes &&
+        unread.size() >= kWireFrameHeaderBytes + PeekFrameLen(unread.data());
     if (!complete_frame_parked) {
       c->want_close = true;
     }
@@ -620,8 +587,7 @@ std::vector<WireRequest> AtomFsServer::DecodeBuffered(Conn* c) {
 void AtomFsServer::PoisonConn(Conn* c) {
   NoteProtocolError();
   c->poisoned = true;
-  c->rbuf.clear();
-  c->rpos = 0;
+  c->rbuf.Clear();
   c->parked.reset();  // decode never runs again; drop any pending frame
 }
 
@@ -657,58 +623,37 @@ void AtomFsServer::Execute(Conn& conn, const std::vector<WireRequest>& todo) {
 }
 
 bool AtomFsServer::FlushOutbox(Shard& shard, Conn* c) {
-  while (!c->dead) {
-    iovec iov[kMaxIov];
-    int n_iov = 0;
-    size_t offered = 0;
-    size_t head_off = c->out_head_off;
-    for (const auto& frame : c->outbox) {
-      if (n_iov == kMaxIov) {
-        break;
-      }
-      iov[n_iov].iov_base = const_cast<std::byte*>(frame.data()) + head_off;
-      iov[n_iov].iov_len = frame.size() - head_off;
-      offered += iov[n_iov].iov_len;
-      head_off = 0;
-      ++n_iov;
-    }
-    if (n_iov == 0) {
-      break;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(n_iov);
-    const ssize_t wrote = sendmsg(c->fd, &msg, MSG_NOSIGNAL);
+  while (!c->dead && c->Unsent() > 0) {
+    const size_t offered = c->Unsent();
+    const ssize_t wrote = send(c->fd, c->outbox.data() + c->out_off, offered, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) {
         continue;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        ApplyMask(shard, c, (c->armed_mask & EPOLLIN) | EPOLLOUT);
-        return true;
+        break;
       }
       c->dead = true;
       return MaybeClose(shard, c);
     }
-    size_t left = static_cast<size_t>(wrote);
-    while (left > 0 && !c->outbox.empty()) {
-      auto& front = c->outbox.front();
-      const size_t remain = front.size() - c->out_head_off;
-      if (left >= remain) {
-        left -= remain;
-        c->outbox_bytes -= front.size();
-        c->outbox.pop_front();
-        c->out_head_off = 0;
-      } else {
-        c->out_head_off += left;
-        left = 0;
-      }
-    }
+    c->out_off += static_cast<size_t>(wrote);
     if (static_cast<size_t>(wrote) < offered) {
-      ApplyMask(shard, c, (c->armed_mask & EPOLLIN) | EPOLLOUT);
-      return true;
+      break;  // short write: the socket buffer is full
     }
   }
+  if (c->Unsent() > 0) {
+    // The peer's socket buffer is full. Drop the sent prefix once it
+    // outweighs the rest, so a peer that reads slowly but never catches up
+    // cannot grow the outbox without bound; each byte moves O(1) times.
+    if (c->out_off >= c->Unsent()) {
+      c->outbox.erase(c->outbox.begin(), c->outbox.begin() + static_cast<ptrdiff_t>(c->out_off));
+      c->out_off = 0;
+    }
+    ApplyMask(shard, c, (c->armed_mask & EPOLLIN) | EPOLLOUT);
+    return true;
+  }
+  ClearAndTrim(c->outbox);
+  c->out_off = 0;
   ApplyMask(shard, c, c->armed_mask & ~static_cast<uint32_t>(EPOLLOUT));
   return true;
 }
@@ -717,7 +662,7 @@ void AtomFsServer::UpdateReadInterest(Shard& shard, Conn* c) {
   // A parked frame means the window is effectively full: reading more would
   // only grow the buffer behind a frame that cannot be admitted yet.
   const bool want_read = !c->poisoned && !c->peer_eof && c->parked == nullptr && !c->dead &&
-                         !c->want_close && c->outbox_bytes <= opts_.max_outbox_bytes;
+                         !c->want_close && c->Unsent() <= opts_.max_outbox_bytes;
   const uint32_t mask = (want_read ? EPOLLIN : 0u) | (c->armed_mask & EPOLLOUT);
   ApplyMask(shard, c, mask);
 }
@@ -737,7 +682,7 @@ void AtomFsServer::SweepIdle(Shard& shard) {
   const uint64_t now = NowMs();
   std::vector<Conn*> victims;
   for (auto& [c, conn] : shard.conns) {
-    if (now - c->last_activity_ms >= opts_.idle_timeout_ms && c->outbox.empty() &&
+    if (now - c->last_activity_ms >= opts_.idle_timeout_ms && c->Unsent() == 0 &&
         c->parked == nullptr && !c->want_close) {
       victims.push_back(c);
     }
@@ -745,14 +690,15 @@ void AtomFsServer::SweepIdle(Shard& shard) {
   for (Conn* c : victims) {
     idle_timeouts_.Inc();
     // Best-effort courtesy frame; if the peer is half-open it just fails.
-    const std::vector<std::byte> frame = FrameOf(StatusResponse(Status(Errc::kTimedOut)));
+    std::vector<std::byte> frame;
+    AppendFrame(frame, StatusResponse(Status(Errc::kTimedOut)));
     send(c->fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
     DestroyConn(shard, c);
   }
 }
 
 bool AtomFsServer::MaybeClose(Shard& shard, Conn* c) {
-  if (c->dead || (c->want_close && c->outbox.empty())) {
+  if (c->dead || (c->want_close && c->Unsent() == 0)) {
     DestroyConn(shard, c);
     return false;
   }
@@ -789,7 +735,7 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
   Vfs& vfs = conn.vfs;
   switch (req.op) {
     case WireOp::kPing:
-      return OkResponse(WireWriter());
+      return OkBody().Take();
     case WireOp::kMkdir:
     case WireOp::kMknod:
     case WireOp::kRmdir:
@@ -813,9 +759,9 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       if (!fd.ok()) {
         return StatusResponse(fd.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       body.I32(*fd);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kClose:
       return StatusResponse(vfs.Close(req.fd));
@@ -825,18 +771,18 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       if (!n.ok()) {
         return StatusResponse(n.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       body.Blob(std::span<const std::byte>(buf.data(), *n));
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kFdWrite: {
       auto n = vfs.Write(req.fd, req.data);
       if (!n.ok()) {
         return StatusResponse(n.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       body.U64(*n);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kFdPread: {
       std::vector<std::byte> buf(req.count);
@@ -844,36 +790,36 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       if (!n.ok()) {
         return StatusResponse(n.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       body.Blob(std::span<const std::byte>(buf.data(), *n));
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kFdPwrite: {
       auto n = vfs.Pwrite(req.fd, req.offset, req.data);
       if (!n.ok()) {
         return StatusResponse(n.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       body.U64(*n);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kFstat: {
       auto attr = vfs.Fstat(req.fd);
       if (!attr.ok()) {
         return StatusResponse(attr.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       EncodeAttr(body, *attr);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kFdReadDir: {
       auto entries = vfs.ReadDirFd(req.fd);
       if (!entries.ok()) {
         return StatusResponse(entries.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       EncodeDirEntries(body, *entries);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kFtruncate:
       return StatusResponse(vfs.Ftruncate(req.fd, req.offset));
@@ -882,19 +828,19 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       if (!pos.ok()) {
         return StatusResponse(pos.status());
       }
-      WireWriter body;
+      WireWriter body = OkBody();
       body.U64(*pos);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kStats: {
-      WireWriter body;
+      WireWriter body = OkBody();
       EncodeServerStats(body, StatsSnapshot());
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kMetrics: {
-      WireWriter body;
+      WireWriter body = OkBody();
       EncodeMetricsSnapshot(body, metrics_->Snapshot());
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kTraceDump: {
       // Export capped below the frame limit; ExportChromeTrace drops the
@@ -905,14 +851,14 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
           opts_.trace_ring != nullptr
               ? ExportChromeTrace(opts_.trace_ring->Snapshot(), cap)
               : ExportChromeTrace({});
-      WireWriter body;
+      WireWriter body = OkBody();
       body.Str(json);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kProm: {
-      WireWriter body;
+      WireWriter body = OkBody();
       body.Str(PrometheusText(metrics_->Snapshot()));
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kHello: {
       if (req.proto_version < kWireProtoVersionMin || req.proto_version > kWireProtoVersion) {
@@ -933,9 +879,9 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       reply.version = req.proto_version;
       reply.max_inflight = granted;
       reply.caps = fs_->Capabilities() | (opts_.txn != nullptr ? kFsCapTxn : 0);
-      WireWriter body;
+      WireWriter body = OkBody();
       EncodeHello(body, reply);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kTxBegin: {
       if (opts_.txn == nullptr) {
@@ -950,9 +896,9 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
         return StatusResponse(id.status());
       }
       conn.active_txn = *id;
-      WireWriter body;
+      WireWriter body = OkBody();
       body.U64(*id);
-      return OkResponse(std::move(body));
+      return body.Take();
     }
     case WireOp::kTxCommit:
     case WireOp::kTxAbort: {

@@ -4,15 +4,18 @@
 // thread per listener (Unix-domain and/or TCP on 127.0.0.1) round-robins
 // accepted sockets across N event-loop shards. Each shard runs a
 // non-blocking epoll loop that owns a set of connections outright; no other
-// thread touches them. On readiness the loop reads whatever the kernel has
-// buffered, decodes the complete frames up to the connection's negotiated
-// `max_inflight` window, executes them in order against the shared
-// FileSystem on the loop thread itself, and flushes the reply frames with a
-// single writev(2). A connection runs at most one window per loop turn: one
-// that pipelined past its window keeps its next frame parked and gets its
-// next window after the turn's other readiness events, so a peer that
-// ignores its window cannot monopolise the loop. Replies leave in request
-// order, and each connection's Vfs is only ever touched by its loop.
+// thread touches them. On readiness the loop receives whatever the kernel
+// has buffered into the spare room of the connection's receive buffer (no
+// zero-fill), decodes the complete frames up to the connection's negotiated
+// `max_inflight` window in place, executes them in order against the shared
+// FileSystem on the loop thread itself, and appends each reply frame to one
+// contiguous outbox that a single send(2) loop flushes. Both buffers give
+// back capacity above kWireBufferKeepBytes once drained. A connection runs
+// at most one window per loop turn: one that pipelined past its window
+// keeps its next frame parked and gets its next window after the turn's
+// other readiness events, so a peer that ignores its window cannot
+// monopolise the loop. Replies leave in request order, and each
+// connection's Vfs is only ever touched by its loop.
 // Linearizability comes from the file system's own lock coupling; the loop
 // adds no locking of its own. A long request holds up every other
 // connection of its shard: a journaled TXBEGIN or TXCOMMIT (mirror copy,

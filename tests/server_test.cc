@@ -823,6 +823,69 @@ TEST_F(ServerTest, PeerThatNeverReadsDoesNotStallItsLoopNeighbour) {
   server_->Stop();
 }
 
+TEST_F(ServerTest, LargeReadsPipelinedBeforeAnyReplyIsReadArriveWholeInOrder) {
+  // 32 reads of 256 KiB each, all sent before the peer reads anything: the
+  // 8 MiB of replies fill the socket and queue in the connection's outbox,
+  // which then drains through many partial sends as the peer reads. Every
+  // reply must arrive whole and in request order.
+  AtomFs fs;
+  StartUnix(&fs, 1);
+  constexpr uint32_t kReads = 32;
+  constexpr size_t kChunk = 256u << 10;
+  auto pattern = [](uint32_t chunk, size_t k) {
+    return static_cast<std::byte>((chunk * 29 + k * 13 + (k >> 9)) & 0xff);
+  };
+  {
+    auto setup = Client();
+    ASSERT_TRUE(setup->Mknod("/big").ok());
+    std::vector<std::byte> data(kChunk);
+    for (uint32_t i = 0; i < kReads; ++i) {
+      for (size_t k = 0; k < kChunk; ++k) {
+        data[k] = pattern(i, k);
+      }
+      auto n = setup->Write("/big", uint64_t{i} * kChunk, data);
+      ASSERT_TRUE(n.ok());
+      ASSERT_EQ(*n, kChunk);
+    }
+  }
+
+  const int raw = RawConnect(sock_path_);
+  timeval deadline{};
+  deadline.tv_sec = 10;
+  setsockopt(raw, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline);
+  setsockopt(raw, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof deadline);
+  std::vector<std::byte> burst;
+  for (uint32_t i = 0; i < kReads; ++i) {
+    WireRequest read;
+    read.op = WireOp::kRead;
+    read.path_a = "/big";
+    read.offset = uint64_t{i} * kChunk;
+    read.count = kChunk;
+    Append(burst, FramedRequest(read));
+  }
+  ASSERT_EQ(send(raw, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  // Let the loop run the whole window and back up into its outbox.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  for (uint32_t i = 0; i < kReads; ++i) {
+    auto response = RecvFrame(raw);
+    ASSERT_TRUE(response.ok()) << "read reply " << i;
+    WireReader r(*response);
+    uint8_t status = 0;
+    ASSERT_TRUE(r.U8(&status));
+    ASSERT_EQ(ErrcOfWireStatus(status), Errc::kOk) << "read reply " << i;
+    std::vector<std::byte> data;
+    ASSERT_TRUE(r.Blob(&data, kChunk));
+    ASSERT_TRUE(r.AtEnd());
+    ASSERT_EQ(data.size(), kChunk) << "read reply " << i;
+    for (size_t k = 0; k < kChunk; ++k) {
+      ASSERT_EQ(data[k], pattern(i, k)) << "read reply " << i << " byte " << k;
+    }
+  }
+  close(raw);
+}
+
 TEST_F(ServerTest, PeerPipeliningPastItsWindowSharesItsLoop) {
   // A peer that reads its replies but keeps many windows of stat requests
   // buffered must get one window per loop turn, so a neighbour on the same

@@ -3,12 +3,19 @@
 // must parse to a clean kProto error (or a valid message), never crash or
 // read out of bounds. This is the ISSUE's malformed-frame contract at the
 // deserializer level; tests/server_test.cc checks the same contract over a
-// real socket.
+// real socket. The framing helpers and the client session's bulk reply
+// reader are driven here against a scripted peer on a socketpair.
 
 #include "src/net/wire.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <functional>
+#include <thread>
+
+#include "src/client/client.h"
 #include "src/util/rand.h"
 
 namespace atomfs {
@@ -529,6 +536,296 @@ TEST(WireResponseTest, ServerStatsRoundTrip) {
   ASSERT_EQ(back.ops.size(), 2u);
   EXPECT_EQ(back.ops[0].op, static_cast<uint8_t>(WireOp::kMkdir));
   EXPECT_EQ(back.ops[1].p999_ns, 5000u);
+}
+
+// --- framing helpers ---------------------------------------------------------
+
+TEST(WireFramingTest, AppendFrameAndPeekFrameLenAgree) {
+  const std::vector<std::byte> payload(300, std::byte{0x5a});
+  std::vector<std::byte> out{std::byte{0xee}};
+  AppendFrame(out, payload);
+  ASSERT_EQ(out.size(), 1 + kWireFrameHeaderBytes + payload.size());
+  EXPECT_EQ(PeekFrameLen(out.data() + 1), 300u);
+  // Little-endian, like every wire integer.
+  EXPECT_EQ(out[1], std::byte{0x2c});
+  EXPECT_EQ(out[2], std::byte{0x01});
+  WireWriter w;
+  w.Blob(payload);
+  EXPECT_TRUE(std::equal(w.buf().begin(), w.buf().end(), out.begin() + 1));
+}
+
+TEST(WireFramingTest, BuffersGiveBackBurstCapacity) {
+  WireRecvBuffer rbuf;
+  EXPECT_EQ(rbuf.Room(1).size(), kWireBufferKeepBytes);
+  const std::span<std::byte> big = rbuf.Room(kWireMaxFrameBytes);
+  ASSERT_GE(big.size(), kWireMaxFrameBytes);
+  big[0] = std::byte{1};
+  big[kWireMaxFrameBytes - 1] = std::byte{2};
+  rbuf.Fill(kWireMaxFrameBytes);
+  rbuf.Consume(kWireMaxFrameBytes - 1);
+  ASSERT_EQ(rbuf.Unread().size(), 1u);
+  EXPECT_EQ(rbuf.Unread()[0], std::byte{2});
+  rbuf.Consume(1);
+  EXPECT_EQ(rbuf.Unread().size(), 0u);
+  EXPECT_EQ(rbuf.Room(1).size(), kWireBufferKeepBytes);
+
+  std::vector<std::byte> out(kWireMaxFrameBytes);
+  ClearAndTrim(out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_LE(out.capacity(), kWireBufferKeepBytes);
+}
+
+TEST(WireFramingTest, RoomCompactsUnreadBytesToTheFront) {
+  WireRecvBuffer rbuf;
+  std::span<std::byte> room = rbuf.Room(1);
+  for (size_t i = 0; i < room.size(); ++i) {
+    room[i] = static_cast<std::byte>(i & 0xff);
+  }
+  rbuf.Fill(room.size());
+  rbuf.Consume(room.size() - 10);
+  // The 10 unread bytes move to the front; no growth is needed for this.
+  room = rbuf.Room(100);
+  EXPECT_EQ(room.size(), kWireBufferKeepBytes - 10);
+  ASSERT_EQ(rbuf.Unread().size(), 10u);
+  EXPECT_EQ(rbuf.Unread()[0], static_cast<std::byte>((kWireBufferKeepBytes - 10) & 0xff));
+}
+
+// --- client session reader against a scripted peer ---------------------------
+// The peer end of a socketpair plays the server: it answers HELLO, then runs
+// a script. Both ends time out after 10 s, so a reader that waits for bytes
+// that never come fails the test instead of hanging it.
+
+void SetDeadlines(int fd) {
+  timeval tv{};
+  tv.tv_sec = 10;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+}
+
+bool SendRaw(int fd, std::span<const std::byte> bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      return false;
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// A success reply frame whose body (what the client's future yields) is
+// `body`.
+void AppendReply(std::vector<std::byte>& out, std::span<const std::byte> body) {
+  std::vector<std::byte> payload{std::byte{0}};
+  payload.insert(payload.end(), body.begin(), body.end());
+  AppendFrame(out, payload);
+}
+
+// Distinct body per reply index; reply `big_index` is 1 MiB, the size of a
+// large read reply.
+std::vector<std::byte> ReplyBody(size_t i, size_t big_index) {
+  const size_t len = i == big_index ? (1u << 20) : 1 + (i * 37) % 300;
+  std::vector<std::byte> body(len);
+  for (size_t k = 0; k < len; ++k) {
+    body[k] = static_cast<std::byte>((i * 131 + k * 7) & 0xff);
+  }
+  return body;
+}
+
+class ScriptedPeerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    int sv[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    SetDeadlines(sv[0]);
+    SetDeadlines(sv[1]);
+    peer_ = sv[1];
+    std::thread hello([peer = peer_] {
+      auto frame = RecvFrame(peer);
+      ASSERT_TRUE(frame.ok());
+      auto req = ParseRequest(*frame);
+      ASSERT_TRUE(req.ok());
+      ASSERT_EQ(req->op, WireOp::kHello);
+      WireWriter w;
+      w.U8(0);
+      EncodeHello(w, WireHello{req->proto_version, req->max_inflight, 0});
+      ASSERT_TRUE(SendFrame(peer, w.buf()).ok());
+    });
+    auto session = ClientSession::Negotiate(sv[0], kDefaultClientInflight);
+    hello.join();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
+    ASSERT_EQ(session_->max_inflight(), kDefaultClientInflight);
+  }
+
+  void TearDown() override {
+    if (script_.joinable()) {
+      script_.join();
+    }
+    session_.reset();
+    if (peer_ >= 0) {
+      close(peer_);
+    }
+  }
+
+  // Runs `script` on the peer end, beside the test body.
+  void Peer(std::function<void(int)> script) { script_ = std::thread(std::move(script), peer_); }
+
+  // Reads one request frame and returns its request units (a MSGBATCH counts
+  // its sub-requests); 0 when no well-formed frame arrived.
+  static size_t ReadFrameUnits(int fd, std::vector<std::byte>* raw = nullptr) {
+    auto frame = RecvFrame(fd);
+    if (!frame.ok()) {
+      return 0;
+    }
+    auto req = ParseRequest(*frame);
+    if (!req.ok()) {
+      return 0;
+    }
+    if (raw != nullptr) {
+      *raw = *frame;
+    }
+    return req->op == WireOp::kMsgBatch ? req->batch.size() : 1;
+  }
+
+  std::vector<ClientSession::Future> SubmitPings(size_t n) {
+    WireRequest ping;
+    ping.op = WireOp::kPing;
+    std::vector<ClientSession::Future> futures;
+    for (size_t i = 0; i < n; ++i) {
+      futures.push_back(session_->Submit(ping));
+    }
+    return futures;
+  }
+
+  int peer_ = -1;
+  std::unique_ptr<ClientSession> session_;
+  std::thread script_;
+};
+
+TEST_F(ScriptedPeerTest, EightRepliesInOneSendResolveEightFuturesInOrder) {
+  constexpr size_t kReplies = 8;
+  std::vector<std::byte> request_frame;
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd, &request_frame), kReplies);
+    std::vector<std::byte> replies;
+    for (size_t i = 0; i < kReplies; ++i) {
+      AppendReply(replies, ReplyBody(i, kReplies));
+    }
+    EXPECT_TRUE(SendRaw(fd, replies));
+  });
+  auto futures = SubmitPings(kReplies);
+  ASSERT_TRUE(session_->Flush().ok());
+  for (size_t i = 0; i < kReplies; ++i) {
+    auto body = futures[i].Wait();
+    ASSERT_TRUE(body.ok()) << "reply " << i;
+    EXPECT_EQ(*body, ReplyBody(i, kReplies)) << "reply " << i;
+  }
+  script_.join();
+  // The packer's MSGBATCH frame is byte-identical to the codec's encoding.
+  WireRequest batch;
+  batch.op = WireOp::kMsgBatch;
+  batch.batch.resize(kReplies);
+  EXPECT_EQ(request_frame, EncodeRequest(batch));
+}
+
+TEST_F(ScriptedPeerTest, ReplyDribbledOneBytePerSendResolves) {
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd), 1u);
+    std::vector<std::byte> reply;
+    AppendReply(reply, ReplyBody(3, 0));
+    for (std::byte b : reply) {
+      ASSERT_TRUE(SendRaw(fd, std::span<const std::byte>(&b, 1)));
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  auto futures = SubmitPings(1);
+  ASSERT_TRUE(session_->Flush().ok());
+  auto body = futures[0].Wait();
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(*body, ReplyBody(3, 0));
+}
+
+TEST_F(ScriptedPeerTest, SeededRandomChunkingOf200RepliesIsByteIdentical) {
+  constexpr size_t kReplies = 200;
+  constexpr size_t kBig = 100;
+  Peer([&](int fd) {
+    Rng rng(20261017);
+    size_t answered = 0;
+    while (answered < kReplies) {
+      // Answer frame by frame, as a server does: the client sends its next
+      // window only after reading this one's replies.
+      const size_t units = ReadFrameUnits(fd);
+      ASSERT_GT(units, 0u);
+      std::vector<std::byte> replies;
+      for (size_t i = answered; i < answered + units; ++i) {
+        AppendReply(replies, ReplyBody(i, kBig));
+      }
+      answered += units;
+      size_t off = 0;
+      while (off < replies.size()) {
+        const size_t chunk = rng.Chance(1, 3) ? rng.Between(1, 8) : rng.Between(1, 96u << 10);
+        const size_t n = std::min(chunk, replies.size() - off);
+        ASSERT_TRUE(SendRaw(fd, std::span<const std::byte>(replies).subspan(off, n)));
+        off += n;
+      }
+    }
+  });
+  auto futures = SubmitPings(kReplies);
+  ASSERT_TRUE(session_->Flush().ok());
+  for (size_t i = 0; i < kReplies; ++i) {
+    auto body = futures[i].Wait();
+    ASSERT_TRUE(body.ok()) << "reply " << i;
+    ASSERT_EQ(*body, ReplyBody(i, kBig)) << "reply " << i;
+  }
+}
+
+TEST_F(ScriptedPeerTest, OversizedDeclaredLengthFailsEveryFutureWithProto) {
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd), 3u);
+    std::vector<std::byte> header;
+    AppendU32(header, kWireMaxFrameBytes + 1);
+    EXPECT_TRUE(SendRaw(fd, header));
+  });
+  auto futures = SubmitPings(3);
+  ASSERT_TRUE(session_->Flush().ok());
+  for (auto& f : futures) {
+    EXPECT_EQ(f.Wait().status().code(), Errc::kProto);
+  }
+  EXPECT_EQ(session_->Flush().code(), Errc::kProto);  // broken for good
+}
+
+TEST_F(ScriptedPeerTest, EofInsideAFrameBreaksTheSessionWithIo) {
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd), 2u);
+    std::vector<std::byte> reply;
+    AppendReply(reply, ReplyBody(0, 0));
+    EXPECT_TRUE(SendRaw(fd, std::span<const std::byte>(reply).first(reply.size() / 2)));
+    shutdown(fd, SHUT_WR);
+  });
+  auto futures = SubmitPings(2);
+  ASSERT_TRUE(session_->Flush().ok());
+  for (auto& f : futures) {
+    EXPECT_EQ(f.Wait().status().code(), Errc::kIo);
+  }
+}
+
+TEST_F(ScriptedPeerTest, EofBetweenFramesBreaksTheSessionWithIo) {
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd), 3u);
+    std::vector<std::byte> reply;
+    AppendReply(reply, ReplyBody(0, 0));
+    EXPECT_TRUE(SendRaw(fd, reply));
+    shutdown(fd, SHUT_WR);
+  });
+  auto futures = SubmitPings(3);
+  ASSERT_TRUE(session_->Flush().ok());
+  auto first = futures[0].Wait();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, ReplyBody(0, 0));
+  EXPECT_EQ(futures[1].Wait().status().code(), Errc::kIo);
+  EXPECT_EQ(futures[2].Wait().status().code(), Errc::kIo);
 }
 
 }  // namespace
