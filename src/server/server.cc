@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -29,11 +30,17 @@ namespace {
 constexpr size_t kReadChunk = kWireBufferKeepBytes;
 constexpr size_t kMaxReadPerCycle = 256u << 10;
 
-uint64_t NowMs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
+// How long a loop keeps polling after a turn that handled events before it
+// parks in a blocking epoll_wait (see ShardLoop).
+constexpr uint64_t kPollBeforeParkNs = 50'000;
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
 }
+
+uint64_t NowMs() { return NowNs() / 1'000'000; }
 
 // Success responses begin with wire status 0; the body is written after it.
 WireWriter OkBody() {
@@ -197,6 +204,7 @@ AtomFsServer::AtomFsServer(FileSystem* fs, ServerOptions options)
   connections_accepted_ = metrics_->GetCounter("server.connections");
   protocol_errors_ = metrics_->GetCounter("server.protocol_errors");
   loop_wakeups_ = metrics_->GetCounter("server.loop.wakeups");
+  loop_parks_ = metrics_->GetCounter("server.loop.parks");
   backpressure_stalls_ = metrics_->GetCounter("server.backpressure_stalls");
   idle_timeouts_ = metrics_->GetCounter("server.idle_timeouts");
   active_conns_ = metrics_->GetGauge("server.conns.active");
@@ -374,19 +382,35 @@ void AtomFsServer::ShardLoop(Shard& shard) {
   epoll_event evs[64];
   const int timeout_ms =
       opts_.idle_timeout_ms > 0 ? std::max(1, static_cast<int>(opts_.idle_timeout_ms / 4)) : -1;
+  // When the last turn that handled anything ended (0: park at once).
+  uint64_t last_work_ns = 0;
   for (;;) {
     // Owed windows make this turn a poll: fresh readiness interleaves with
     // them instead of waiting behind a connection that pipelines past its
-    // window.
-    const int wait_ms = shard.runnable.empty() ? timeout_ms : 0;
-    const int n = epoll_wait(shard.epoll_fd, evs, 64, wait_ms);
+    // window. Otherwise poll before parking (see server.h): the yield gives
+    // the CPU to the client just answered, whose next request the poll
+    // then catches without a sleep and a wakeup. Stop's eventfd ends the
+    // poll like any other event.
+    int n = epoll_wait(shard.epoll_fd, evs, 64, 0);
+    bool parked = false;
+    if (n == 0 && shard.runnable.empty()) {
+      while (n == 0 && NowNs() - last_work_ns < kPollBeforeParkNs) {
+        sched_yield();
+        n = epoll_wait(shard.epoll_fd, evs, 64, 0);
+      }
+      if (n == 0) {
+        loop_parks_.Inc();
+        parked = true;
+        n = epoll_wait(shard.epoll_fd, evs, 64, timeout_ms);
+      }
+    }
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return;
     }
-    if (n > 0 || wait_ms != 0) {
+    if (n > 0 || parked) {
       loop_wakeups_.Inc();
     }
     if (shard.stop.load(std::memory_order_acquire)) {
@@ -427,6 +451,9 @@ void AtomFsServer::ShardLoop(Shard& shard) {
         c->runnable = false;
         Drain(shard, c);
       }
+    }
+    if (n > 0 || !shard.turn.empty()) {
+      last_work_ns = NowNs();
     }
     shard.turn.clear();
     if (notified) {

@@ -8,6 +8,7 @@
 #include "src/server/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -511,6 +512,46 @@ TEST_F(ServerTest, IdleConnectionsAreReapedWithTimedOutFrame) {
   close(raw);
   EXPECT_GE(registry.Snapshot().CounterValue("server.idle_timeouts"), 1u);
   server_->Stop();  // the local registry must outlive every server thread
+}
+
+// CPU time of the whole process (every server and client thread), in µs.
+uint64_t ProcessCpuMicros() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto micros = [](const timeval& tv) {
+    return static_cast<uint64_t>(tv.tv_sec) * 1'000'000 + static_cast<uint64_t>(tv.tv_usec);
+  };
+  return micros(ru.ru_utime) + micros(ru.ru_stime);
+}
+
+TEST_F(ServerTest, IdleLoopsParkAfterPollingAndBurnNoCpu) {
+  AtomFs fs;
+  StartUnix(&fs);
+  auto a = Client();
+  auto b = Client();
+  const MetricsRegistry& registry = *server_->metrics();
+  const auto counter = [&registry](const char* name) {
+    return registry.Snapshot().CounterValue(name);
+  };
+  const uint64_t parks = counter("server.loop.parks");
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(a->Ping().ok());
+    ASSERT_TRUE(b->Ping().ok());
+  }
+
+  // A loop polls only for a bounded time after its last event, then parks.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (counter("server.loop.parks") == parks && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(counter("server.loop.parks"), parks) << "no loop parked within 1 s of going idle";
+
+  // Parked loops stay asleep: no wakeup and next to no CPU while nobody calls.
+  const uint64_t wakeups = counter("server.loop.wakeups");
+  const uint64_t cpu_us = ProcessCpuMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(counter("server.loop.wakeups"), wakeups);
+  EXPECT_LT(ProcessCpuMicros() - cpu_us, 30'000u) << "an idle loop kept polling";
 }
 
 TEST_F(ServerTest, MalformedFrameMidPipelineDrainsEarlierRepliesFirst) {
