@@ -40,13 +40,13 @@
 // conflict/retry path), then recovery time replaying 25% / 50% / 100%
 // prefixes of the journal that load produced.
 //
-// A top-level `rcu_walk` block prices the optimistic read path (atomfs
-// backend, no --monitor): the same paired-slice harness drives a
-// lock-coupled AtomFs against one with `enable_rcu_walk`, reporting the
-// median throughput ratio as `speedup` plus the core.rcuwalk.* counters and
-// the derived `fallback_rate`. `--rcu-smoke` runs a short version as a gate
-// instead: exit nonzero unless the optimistic path engaged (attempts > 0)
-// with zero unvalidated reads (run_tier1.sh's rcu-walk smoke stage).
+// A top-level `rcu_walk` block reports how the optimistic read path fared
+// on a traced fileserver run of the default atomfs stack (no --monitor):
+// the core.rcuwalk.* counters, the reads served and the derived
+// `fallback_rate`. `--rcu-smoke` runs a short version as a gate instead:
+// exit nonzero unless the optimistic path engaged (attempts > 0) with zero
+// unvalidated reads and the counters account for every read (run_tier1.sh's
+// rcu-walk smoke stage).
 //
 //   bench_server_throughput [--clients N]     concurrent clients (default 4)
 //                           [--ops N]         filebench ops per client (default 800)
@@ -362,13 +362,11 @@ struct OverheadOutcome {
 
 // The generic side of the harness: callers build the two FileSystem
 // instances (with whatever observers/options the comparison is about) plus
-// their server registries, and this drives the paired slices. Four
+// their server registries, and this drives the paired slices. Three
 // instruments share it: the tracing experiment (side A bare, side B carrying
 // a TracingObserver), the flight-recorder experiment (both sides traced,
-// side B additionally streaming every event into a TraceRing), the rcu-walk
-// experiment (both sides traced AtomFs, side B resolving read-only ops
-// optimistically) and the sharding experiment (side A a 1-shard ShardedFs,
-// side B an N-shard one). `label_a`/`label_b` name the sides in the per-pair
+// side B additionally streaming every event into a TraceRing) and the
+// sharding experiment (side A a 1-shard ShardedFs, side B an N-shard one). `label_a`/`label_b` name the sides in the per-pair
 // printout; `sock_tag` keeps concurrent experiments' sockets distinct.
 // `setup`, when set, replaces the single-tree FilebenchSetup (the sharding
 // experiment populates one tenant tree per client); `worker`, when set,
@@ -584,74 +582,52 @@ OverheadOutcome RunOverheadExperiment(const FilebenchProfile& profile, const std
                                   ops_per_client, /*pairs=*/9, label_a, label_b);
 }
 
-// --- rcu-walk experiment -----------------------------------------------------
+// --- rcu-walk counters ------------------------------------------------------
 
-// The optimistic-walk experiment: what does the RCU-style read path buy over
-// lock-coupled resolution, and how often does validation send it back? Same
-// paired-slice methodology — side A is an AtomFs running the lock-coupled
-// walk for every op, side B an AtomFs with `enable_rcu_walk` resolving
-// read-only ops (stat/readdir/read) optimistically. Both sides carry a
-// TracingObserver so instrumentation cost cancels, and side B's registry —
-// fetched over the wire like any METRICS reply — supplies the
-// core.rcuwalk.* counters the fallback rate is computed from.
+// RCU-walk is on in every AtomFs with inode locks, so there is no locked
+// side left to compare against (perfbench's webproxy-lib carries the
+// speedup). One traced fileserver run on the default atomfs stack reports
+// how the optimistic read path fared: the core.rcuwalk.* counters, fetched
+// over the wire like any METRICS reply, and the number of read ops
+// (stat/readdir/read) the file system served.
 struct RcuWalkOutcome {
-  double speedup = 0;        // median paired-slice rcu/locked throughput ratio
-  double fallback_rate = 0;  // fallbacks / optimistically-attempted ops
-  double locked_ops_per_sec = 0;
-  double rcu_ops_per_sec = 0;
+  double fallback_rate = 0;  // fallbacks / optimistic reads
+  double ops_per_sec = 0;
+  uint64_t reads = 0;     // stat + readdir + read ops served
   uint64_t attempts = 0;  // OptimisticAttempt calls, retries included
   uint64_t validation_failures = 0;
   uint64_t fallbacks = 0;
   uint64_t unvalidated_reads = 0;  // must be 0: the unsafe hook is test-only
   uint64_t worker_failures = 0;
-  int pairs = 0;
 };
 
-RcuWalkOutcome RunRcuWalkExperiment(const FilebenchProfile& profile, const std::string& transport,
-                                    int clients, uint64_t ops_per_client, int pairs) {
-  MetricsRegistry registry_a;
-  MetricsRegistry registry_b;
-  TracingObserver tracer_a(&registry_a, /*ring=*/nullptr);
-  TracingObserver tracer_b(&registry_b, /*ring=*/nullptr);
-  AtomFs::Options locked;
-  locked.observer = &tracer_a;
-  AtomFs::Options rcu;
-  rcu.observer = &tracer_b;
-  rcu.enable_rcu_walk = true;
-  auto fs_a = std::make_unique<AtomFs>(std::move(locked));
-  auto fs_b = std::make_unique<AtomFs>(std::move(rcu));
-  OverheadOutcome out =
-      RunPairedSliceExperiment(fs_a.get(), fs_b.get(), &registry_a, &registry_b, "_rcu", profile,
-                               transport, clients, ops_per_client, pairs, "locked", "rcu");
-
+RcuWalkOutcome RunRcuWalk(const std::string& transport, int clients, uint64_t ops_per_client) {
+  const ProfileResult r = RunProfile(FilebenchProfile::Fileserver(), "atomfs", transport, clients,
+                                     ops_per_client, /*traced=*/true, /*with_monitor=*/false);
   RcuWalkOutcome rw;
-  rw.pairs = out.pairs;
-  rw.locked_ops_per_sec = out.untraced_ops_per_sec;
-  rw.rcu_ops_per_sec = out.traced.ops_per_sec;
-  rw.speedup =
-      rw.locked_ops_per_sec > 0 ? rw.rcu_ops_per_sec / rw.locked_ops_per_sec : 0;
-  rw.worker_failures = out.traced.worker_failures;
-  const MetricsSnapshot& remote = out.traced.remote;
+  rw.ops_per_sec = r.ops_per_sec;
+  rw.worker_failures = r.worker_failures;
+  const MetricsSnapshot& remote = r.remote;
+  for (const char* kind : {"stat", "readdir", "read"}) {
+    const HistogramSnapshot* h =
+        remote.FindHistogram("fs.op." + std::string(kind) + ".latency_ns");
+    rw.reads += h != nullptr ? h->count : 0;
+  }
   rw.attempts = remote.CounterValue("core.rcuwalk.attempts");
   rw.validation_failures = remote.CounterValue("core.rcuwalk.validation_failures");
   rw.fallbacks = remote.CounterValue("core.rcuwalk.fallbacks");
   rw.unvalidated_reads = remote.CounterValue("core.rcuwalk.unvalidated_reads");
-  // Every optimistically-attempted op ends in exactly one validation pass
-  // (or skip) or one fallback; failed attempts that were retried are
-  // interior steps. So ops = attempts - validation_failures + fallbacks.
-  const uint64_t optimistic_ops = rw.attempts - rw.validation_failures + rw.fallbacks;
-  rw.fallback_rate = optimistic_ops > 0
-                         ? static_cast<double>(rw.fallbacks) / static_cast<double>(optimistic_ops)
+  rw.fallback_rate = rw.reads > 0
+                         ? static_cast<double>(rw.fallbacks) / static_cast<double>(rw.reads)
                          : 0.0;
   return rw;
 }
 
 void PrintRcuWalk(const RcuWalkOutcome& rw) {
   std::printf(
-      "rcu walk: %.3fx locked throughput (%.0f vs %.0f ops/sec, median over %d pairs); "
-      "%llu attempt(s), %llu validation failure(s), %llu fallback(s) "
-      "(fallback rate %.4f), %llu unvalidated read(s)\n",
-      rw.speedup, rw.rcu_ops_per_sec, rw.locked_ops_per_sec, rw.pairs,
+      "rcu walk: %llu read(s) at %.0f ops/sec; %llu attempt(s), %llu validation failure(s), "
+      "%llu fallback(s) (fallback rate %.4f), %llu unvalidated read(s)\n",
+      static_cast<unsigned long long>(rw.reads), rw.ops_per_sec,
       static_cast<unsigned long long>(rw.attempts),
       static_cast<unsigned long long>(rw.validation_failures),
       static_cast<unsigned long long>(rw.fallbacks), rw.fallback_rate,
@@ -660,21 +636,22 @@ void PrintRcuWalk(const RcuWalkOutcome& rw) {
 
 void JsonRcuWalk(JsonWriter& json, const RcuWalkOutcome& rw) {
   json.Key("rcu_walk").BeginObject();
-  json.Field("speedup", rw.speedup);
   json.Field("fallback_rate", rw.fallback_rate);
-  json.Field("ops_per_sec_locked", rw.locked_ops_per_sec);
-  json.Field("ops_per_sec_rcu", rw.rcu_ops_per_sec);
+  json.Field("ops_per_sec", rw.ops_per_sec);
+  json.Field("reads", rw.reads);
   json.Field("attempts", rw.attempts);
   json.Field("validation_failures", rw.validation_failures);
   json.Field("fallbacks", rw.fallbacks);
   json.Field("unvalidated_reads", rw.unvalidated_reads);
   json.Field("worker_failures", rw.worker_failures);
-  json.Field("pairs", static_cast<uint64_t>(rw.pairs));
   json.EndObject();
 }
 
-// The --rcu-smoke gate (run_tier1.sh): a short paired-slice run must show
-// the optimistic path actually engaging and never bypassing validation.
+// The --rcu-smoke gate (run_tier1.sh): on the default stack the optimistic
+// path must engage, never bypass validation, and account for every read:
+// each read ends in exactly one pass (a validated miss included) or one
+// fallback, and each failed attempt is an interior retry, so
+// attempts - validation_failures + fallbacks == reads.
 int RcuSmokeGate(const RcuWalkOutcome& rw) {
   int rc = 0;
   if (rw.attempts == 0) {
@@ -688,9 +665,24 @@ int RcuSmokeGate(const RcuWalkOutcome& rw) {
                  static_cast<unsigned long long>(rw.unvalidated_reads));
     rc = 1;
   }
+  if (rw.attempts - rw.validation_failures + rw.fallbacks != rw.reads) {
+    std::fprintf(stderr,
+                 "RCU SMOKE FAILED: attempts - validation_failures + fallbacks = %llu, "
+                 "but %llu read(s) were served\n",
+                 static_cast<unsigned long long>(rw.attempts - rw.validation_failures +
+                                                 rw.fallbacks),
+                 static_cast<unsigned long long>(rw.reads));
+    rc = 1;
+  }
+  if (rw.worker_failures != 0) {
+    std::fprintf(stderr, "RCU SMOKE FAILED: %llu failed filebench op(s)\n",
+                 static_cast<unsigned long long>(rw.worker_failures));
+    rc = 1;
+  }
   if (rc == 0) {
-    std::printf("rcu smoke: ok (%llu attempts, 0 unvalidated reads)\n",
-                static_cast<unsigned long long>(rw.attempts));
+    std::printf("rcu smoke: ok (%llu attempts for %llu reads, 0 unvalidated reads)\n",
+                static_cast<unsigned long long>(rw.attempts),
+                static_cast<unsigned long long>(rw.reads));
   }
   return rc;
 }
@@ -1603,12 +1595,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // --rcu-smoke: the tier-1 gate. A short rcu-walk paired-slice run; exits
-  // nonzero unless the optimistic path engaged and every optimistic read was
-  // validated. No JSON output — this mode is a check, not a measurement.
+  // --rcu-smoke: the tier-1 gate. A short traced run; exits nonzero unless
+  // the optimistic path engaged, every optimistic read was validated and the
+  // counters account for every read. No JSON output — this mode is a check,
+  // not a measurement.
   if (rcu_smoke) {
-    const RcuWalkOutcome rw = RunRcuWalkExperiment(FilebenchProfile::Fileserver(), transport,
-                                                   clients, ops_per_client, /*pairs=*/3);
+    const RcuWalkOutcome rw = RunRcuWalk(transport, clients, ops_per_client);
     PrintRcuWalk(rw);
     return RcuSmokeGate(rw);
   }
@@ -1707,14 +1699,13 @@ int main(int argc, char** argv) {
 
   json.EndArray();
 
-  // The rcu_walk block: optimistic-vs-locked read-path throughput on the
-  // fileserver profile (see RunRcuWalkExperiment). Like the tracing
-  // experiment it needs both sides identical but for the variable under
-  // test, so --monitor suppresses it; it is also atomfs-specific.
+  // The rcu_walk block: the optimistic read path's counters on the
+  // fileserver profile (see RunRcuWalk). The monitor's event serialization
+  // would change what it measures, so --monitor suppresses it; it is also
+  // atomfs-specific.
   if (backend == "atomfs" && !with_monitor &&
       (profile_arg == "fileserver" || profile_arg == "both")) {
-    const RcuWalkOutcome rw = RunRcuWalkExperiment(FilebenchProfile::Fileserver(), transport,
-                                                   clients, ops_per_client, /*pairs=*/9);
+    const RcuWalkOutcome rw = RunRcuWalk(transport, clients, ops_per_client);
     PrintRcuWalk(rw);
     JsonRcuWalk(json, rw);
   }

@@ -24,11 +24,8 @@ AtomFs::AtomFs() : AtomFs(Options{}) {}
 
 AtomFs::AtomFs(Options options) : opts_(std::move(options)) {
   ATOMFS_CHECK(opts_.executor != nullptr);
-  // The optimistic walk validates under the *target's* lock; with inode
-  // locks compiled out (BigLockFs) there is nothing to validate under.
-  ATOMFS_CHECK(!(opts_.enable_rcu_walk && opts_.disable_inode_locks));
   root_ = std::make_unique<Inode>(kRootInum, FileType::kDir, opts_.executor->CreateLock(),
-                                  opts_.enable_rcu_walk);
+                                  reclaimer_);
 }
 
 AtomFs::~AtomFs() {
@@ -36,13 +33,6 @@ AtomFs::~AtomFs() {
   // nested unique_ptr destructors.
   std::deque<std::unique_ptr<Inode>> work;
   work.push_back(std::move(root_));
-  {
-    std::lock_guard<std::mutex> lk(graveyard_mu_);
-    for (auto& node : graveyard_) {
-      work.push_back(std::move(node));
-    }
-    graveyard_.clear();
-  }
   while (!work.empty()) {
     std::unique_ptr<Inode> node = std::move(work.front());
     work.pop_front();
@@ -64,6 +54,9 @@ void AtomFs::ObserveBegin(const OpCall& call) {
 }
 
 void AtomFs::ObserveEnd(const OpResult& result) {
+  // Every op ends here with no lock held, so this is where what earlier
+  // unlinks retired gets freed, never under a hot directory lock.
+  reclaimer_.ScanIfDue();
   if (opts_.observer != nullptr) {
     opts_.observer->OnOpEnd(CurrentTid(), result);
   }
@@ -88,9 +81,7 @@ void AtomFs::LockInode(Inode* node, LockPathRole role) {
     return;
   }
   node->lock->Lock();
-  if (opts_.enable_rcu_walk) {
-    node->held.store(true, std::memory_order_relaxed);
-  }
+  node->held.store(true, std::memory_order_relaxed);
   if (opts_.observer != nullptr) {
     opts_.observer->OnLockAcquired(CurrentTid(), node->ino, role);
   }
@@ -106,9 +97,7 @@ void AtomFs::UnlockInode(Inode* node) {
   // park them *after* the lock is actually free, which is what the paper's
   // interleavings require.
   const Inum ino = node->ino;
-  if (opts_.enable_rcu_walk) {
-    node->held.store(false, std::memory_order_relaxed);
-  }
+  node->held.store(false, std::memory_order_relaxed);
   node->lock->Unlock();
   if (opts_.observer != nullptr) {
     opts_.observer->OnLockReleased(CurrentTid(), ino);
@@ -134,23 +123,24 @@ std::unique_ptr<Inode> AtomFs::NewInode(FileType type) {
   opts_.executor->Work(opts_.costs.inode_alloc_ns);
   inode_count_.fetch_add(1, std::memory_order_relaxed);
   return std::make_unique<Inode>(next_inum_.fetch_add(1, std::memory_order_relaxed), type,
-                                 opts_.executor->CreateLock(), opts_.enable_rcu_walk);
+                                 opts_.executor->CreateLock(), reclaimer_);
 }
 
 void AtomFs::DisposeInode(std::unique_ptr<Inode> node) {
   opts_.executor->Work(opts_.costs.inode_free_ns);
   inode_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (opts_.unsafe_release_before_lock || opts_.enable_rcu_walk) {
-    // A bypassing traversal may still hold a raw pointer; park the inode so
-    // the violation (unsafe mode) or the about-to-fail-validation optimistic
-    // reader (rcu mode) stays memory-safe. Deferred reclamation is the RCU
-    // grace period, degenerately stretched to the filesystem's lifetime.
-    std::lock_guard<std::mutex> lk(graveyard_mu_);
-    graveyard_.push_back(std::move(node));
-    return;
+  // An optimistic reader may still hold a pointer to `node`, so the inode
+  // is freed only after every reader pinned before the unlink has left. Its
+  // file blocks go now, outside every lock: such a reader fails validation
+  // (the unlink ticked the version under the node's lock) before it touches
+  // data. Under unsafe_release_before_lock a bypassing op may still write
+  // them, so there they wait with the inode. rmdir only removes empty
+  // directories and unlink only files, so `node` has no children and its
+  // destruction cannot recurse.
+  if (!opts_.unsafe_release_before_lock) {
+    node->data.Truncate(0);
   }
-  // rmdir only removes empty directories and unlink only files, so `node`
-  // has no children and plain destruction cannot recurse.
+  reclaimer_.Retire(node.release());
 }
 
 // --- Traversal --------------------------------------------------------------
@@ -247,7 +237,10 @@ void AtomFs::VersionTick(Inode* node) {
   node->version.fetch_add(2, std::memory_order_release);
 }
 
-Inode* AtomFs::OptimisticAttempt(const Path& path) {
+Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
+  // Everything this attempt reads lock-free stays allocated until it
+  // returns. A target returned locked cannot be unlinked while we hold it.
+  const EpochPin pin;
   if (opts_.observer != nullptr) {
     opts_.observer->OnOptWalkStart(CurrentTid());
   }
@@ -265,6 +258,7 @@ Inode* AtomFs::OptimisticAttempt(const Path& path) {
     return nullptr;
   };
   Inode* cur = root_.get();
+  const std::string* missed = nullptr;  // the component a lookup missed in `cur`
   for (const std::string& part : path.parts) {
     const uint64_t v = cur->version.load(std::memory_order_acquire);
     if ((v & 1) != 0) {
@@ -272,34 +266,45 @@ Inode* AtomFs::OptimisticAttempt(const Path& path) {
     }
     chain.push_back({cur, v});
     if (cur->type != FileType::kDir) {
-      // Only the locked walk may decide ENOTDIR/ENOENT: what we saw may be a
+      // Only the locked walk may decide ENOTDIR: what we saw may be a
       // transient state of a concurrent mutation.
       return fail();
     }
     Inode* child = cur->dir.FindOptimistic(part);
     opts_.executor->Work(opts_.costs.lookup_ns);
     if (child == nullptr) {
-      return fail();
+      missed = &part;
+      break;
     }
     cur = child;
   }
-  const uint64_t tv = cur->version.load(std::memory_order_acquire);
-  if ((tv & 1) != 0) {
-    return fail();
+  if (missed == nullptr) {
+    const uint64_t tv = cur->version.load(std::memory_order_acquire);
+    if ((tv & 1) != 0) {
+      return fail();
+    }
+    chain.push_back({cur, tv});
   }
-  chain.push_back({cur, tv});
-  // The only lock of the whole walk: the target's. Taken before validation
-  // so the target's version is stable while we check (versions are written
-  // only under the owning node's lock) and the subsequent data access is as
-  // race-free as in the lock-coupled walk.
+  // The only lock of the whole walk: the target's or, after a miss, that of
+  // the directory that missed, where the locked walk would decide ENOENT.
+  // Taken before validation so its version is stable while we check
+  // (versions are written only under the owning node's lock) and the
+  // subsequent data access is as race-free as in the lock-coupled walk.
   LockInode(cur, LockPathRole::kOptTarget);
+  auto decided = [this, cur, missed]() -> Result<Inode*> {
+    if (missed == nullptr) {
+      return cur;
+    }
+    UnlockInode(cur);
+    return Errc::kNoEnt;
+  };
   if (opts_.unsafe_skip_opt_validation) {
     if (opts_.observer != nullptr) {
       opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kSkipped,
                                         static_cast<uint32_t>(chain.size()));
     }
     ObserveLp();
-    return cur;
+    return decided();
   }
   auto chain_current = [&chain, cur] {
     return std::all_of(chain.begin(), chain.end(), [cur](const Rec& r) {
@@ -307,14 +312,15 @@ Inode* AtomFs::OptimisticAttempt(const Path& path) {
              (r.node == cur || !r.node->held.load(std::memory_order_acquire));
     });
   };
-  if (!chain_current()) {
-    Inode* const locked = cur;
-    Inode* const result = fail();
-    UnlockInode(locked);
-    return result;
+  // After a miss the re-lookup under the lock is what decides ENOENT; a
+  // current chain guarantees it misses too.
+  if (!chain_current() || (missed != nullptr && cur->dir.Find(*missed) != nullptr)) {
+    fail();
+    UnlockInode(cur);
+    return static_cast<Inode*>(nullptr);
   }
   if (opts_.observer == nullptr) {
-    return cur;
+    return decided();
   }
   opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kPass,
                                     static_cast<uint32_t>(chain.size()));
@@ -327,22 +333,33 @@ Inode* AtomFs::OptimisticAttempt(const Path& path) {
   if (!chain_current()) {
     opts_.observer->OnOptWalkRetract(CurrentTid());
     UnlockInode(cur);
-    return nullptr;
+    return static_cast<Inode*>(nullptr);
   }
-  return cur;
+  return decided();
 }
 
-Inode* AtomFs::TryOptimisticResolve(const Path& path) {
-  // Initial attempt plus rcu_walk_max_retries retries.
-  for (uint32_t attempt = 0; attempt < 1 + opts_.rcu_walk_max_retries; ++attempt) {
-    if (Inode* node = OptimisticAttempt(path); node != nullptr) {
-      return node;
+Result<Inode*> AtomFs::TryOptimisticResolve(const Path& path) {
+  for (uint32_t attempt = 0; attempt < kRcuWalkAttempts; ++attempt) {
+    if (auto decided = OptimisticAttempt(path); !decided.ok() || *decided != nullptr) {
+      return decided;
     }
   }
   if (opts_.observer != nullptr) {
     opts_.observer->OnOptWalkFallback(CurrentTid());
   }
-  return nullptr;
+  return static_cast<Inode*>(nullptr);
+}
+
+Result<Inode*> AtomFs::ResolveReadTarget(const Path& path, bool* linearized) {
+  *linearized = false;
+  if (!opts_.disable_inode_locks) {
+    auto decided = TryOptimisticResolve(path);
+    if (!decided.ok() || *decided != nullptr) {
+      *linearized = true;
+      return decided;
+    }
+  }
+  return ResolveTargetLocked(path);
 }
 
 // --- ins / del --------------------------------------------------------------
@@ -353,6 +370,7 @@ Status AtomFs::Rmdir(const Path& path) { return Delete(path, FileType::kDir); }
 Status AtomFs::Unlink(const Path& path) { return Delete(path, FileType::kFile); }
 
 Status AtomFs::Insert(const Path& path, FileType type) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(type == FileType::kDir ? OpCall::MkdirOf(path) : OpCall::MknodOf(path));
   auto finish = [this](Status st) {
     OpResult r;
@@ -386,8 +404,8 @@ Status AtomFs::Insert(const Path& path, FileType type) {
   }
   std::unique_ptr<Inode> node = NewInode(type);
   const Inum created = node->ino;
-  opts_.executor->Work(opts_.costs.dir_insert_ns);
   VersionBumpOpen(dir);
+  opts_.executor->Work(opts_.costs.dir_insert_ns);
   ATOMFS_CHECK(dir->dir.Insert(path.Base(), std::move(node)));
   VersionBumpClose(dir);
   ObserveLp(created);
@@ -396,6 +414,7 @@ Status AtomFs::Insert(const Path& path, FileType type) {
 }
 
 Status AtomFs::Delete(const Path& path, FileType type) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(type == FileType::kDir ? OpCall::RmdirOf(path) : OpCall::UnlinkOf(path));
   auto finish = [this](Status st) {
     OpResult r;
@@ -442,14 +461,14 @@ Status AtomFs::Delete(const Path& path, FileType type) {
     UnlockInode(dir);
     return finish(Status(err));
   }
-  opts_.executor->Work(opts_.costs.dir_remove_ns);
   VersionBumpOpen(dir);
+  opts_.executor->Work(opts_.costs.dir_remove_ns);
   std::unique_ptr<Inode> owned = dir->dir.Remove(path.Base());
   VersionBumpClose(dir);
   ATOMFS_CHECK(owned != nullptr);
-  // Belt and braces: the removed node's own version also moves, so a reader
-  // that somehow still reaches it (through a retired chain shell) cannot
-  // validate against a pre-removal recording.
+  // The removed node's own version also moves, so a reader that still
+  // reaches it (through a retired chain shell) cannot validate against a
+  // pre-removal recording.
   VersionTick(child);
   ObserveLp();
   UnlockInode(child);
@@ -461,6 +480,7 @@ Status AtomFs::Delete(const Path& path, FileType type) {
 // --- rename -----------------------------------------------------------------
 
 Status AtomFs::Rename(const Path& src, const Path& dst) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::RenameOf(src, dst));
   auto finish = [this](Status st) {
     OpResult r;
@@ -622,6 +642,7 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
 }
 
 Status AtomFs::Exchange(const Path& a, const Path& b) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::ExchangeOf(a, b));
   auto finish = [this](Status st) {
     OpResult r;
@@ -751,19 +772,17 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
 // --- read-side and data operations -------------------------------------------
 
 Result<Attr> AtomFs::Stat(const Path& path) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::StatOf(path));
-  Inode* node = opts_.enable_rcu_walk ? TryOptimisticResolve(path) : nullptr;
-  const bool linearized = node != nullptr;  // an optimistic read's LP is its validation
-  if (node == nullptr) {
-    auto target = ResolveTargetLocked(path);
-    if (!target.ok()) {
-      OpResult r;
-      r.status = target.status();
-      ObserveEnd(r);
-      return target.status();
-    }
-    node = *target;
+  bool linearized = false;  // an optimistic read's LP is its validation
+  auto target = ResolveReadTarget(path, &linearized);
+  if (!target.ok()) {
+    OpResult r;
+    r.status = target.status();
+    ObserveEnd(r);
+    return target.status();
   }
+  Inode* node = *target;
   opts_.executor->Work(opts_.costs.stat_ns);
   Attr attr;
   attr.ino = node->ino;
@@ -780,19 +799,17 @@ Result<Attr> AtomFs::Stat(const Path& path) {
 }
 
 Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::ReadDirOf(path));
-  Inode* node = opts_.enable_rcu_walk ? TryOptimisticResolve(path) : nullptr;
-  const bool linearized = node != nullptr;  // an optimistic read's LP is its validation
-  if (node == nullptr) {
-    auto target = ResolveTargetLocked(path);
-    if (!target.ok()) {
-      OpResult r;
-      r.status = target.status();
-      ObserveEnd(r);
-      return target.status();
-    }
-    node = *target;
+  bool linearized = false;  // an optimistic read's LP is its validation
+  auto target = ResolveReadTarget(path, &linearized);
+  if (!target.ok()) {
+    OpResult r;
+    r.status = target.status();
+    ObserveEnd(r);
+    return target.status();
   }
+  Inode* node = *target;
   if (node->type != FileType::kDir) {
     if (!linearized) {
       ObserveLp();
@@ -822,19 +839,17 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
 }
 
 Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::byte> out) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::ReadOf(path, offset, out.size()));
-  Inode* node = opts_.enable_rcu_walk ? TryOptimisticResolve(path) : nullptr;
-  const bool linearized = node != nullptr;  // an optimistic read's LP is its validation
-  if (node == nullptr) {
-    auto target = ResolveTargetLocked(path);
-    if (!target.ok()) {
-      OpResult r;
-      r.status = target.status();
-      ObserveEnd(r);
-      return target.status();
-    }
-    node = *target;
+  bool linearized = false;  // an optimistic read's LP is its validation
+  auto target = ResolveReadTarget(path, &linearized);
+  if (!target.ok()) {
+    OpResult r;
+    r.status = target.status();
+    ObserveEnd(r);
+    return target.status();
   }
+  Inode* node = *target;
   if (node->type != FileType::kFile) {
     if (!linearized) {
       ObserveLp();
@@ -860,6 +875,7 @@ Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::by
 
 Result<size_t> AtomFs::Write(const Path& path, uint64_t offset,
                              std::span<const std::byte> data) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end())));
   auto target = ResolveTargetLocked(path);
   if (!target.ok()) {
@@ -895,6 +911,7 @@ Result<size_t> AtomFs::Write(const Path& path, uint64_t offset,
 }
 
 Status AtomFs::Truncate(const Path& path, uint64_t size) {
+  const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin(OpCall::TruncateOf(path, size));
   auto finish = [this](Status st) {
     OpResult r;

@@ -10,7 +10,10 @@
 // Linearization points (LPs):
 //   * mkdir/mknod ("ins")  - after the directory insert, before unlock.
 //   * rmdir/unlink ("del") - after the directory remove, before unlock.
-//   * stat/readdir/read/write/truncate - while the target inode is locked.
+//   * stat/readdir/read/write/truncate - while the target inode is locked;
+//     an optimistic read (stat/readdir/read) at its version-chain
+//     validation, under the lock of the target or, for a miss, of the
+//     directory that missed (docs/CONCURRENCY.md §4-5).
 //   * rename               - after re-linking, before unlock; this is where
 //     the CRL-H helper (linothers) logically linearizes every operation
 //     whose traversed path the rename broke, before the rename itself.
@@ -32,13 +35,13 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/afs/spec_fs.h"
 #include "src/core/cost_model.h"
 #include "src/core/inode.h"
 #include "src/core/observer.h"
+#include "src/core/reclaimer.h"
 #include "src/sim/executor.h"
 #include "src/vfs/filesystem.h"
 
@@ -54,26 +57,17 @@ class AtomFs : public FileSystem {
     // VALIDATION ONLY: release the parent's lock before acquiring the
     // child's during traversal. This deliberately breaks the non-bypassable
     // criterion so tests can demonstrate that the CRL-H checkers flag the
-    // resulting non-linearizable executions (paper Figure 8). Deleted inodes
-    // are parked until destruction in this mode to keep the violation
-    // memory-safe.
+    // resulting non-linearizable executions (paper Figure 8). Each operation
+    // stays pinned (EpochPin) from start to end in this mode, so an inode it
+    // reaches after its deletion is still allocated.
     bool unsafe_release_before_lock = false;
 
     // Skip all per-inode locking and lock/LP observer events. Used by
     // BigLockFs, which wraps the whole structure in one global lock; the
-    // inner tree then needs no fine-grained synchronization.
+    // inner tree then needs no fine-grained synchronization. Without inode
+    // locks there is nothing to validate under, so this also turns off the
+    // optimistic read walk.
     bool disable_inode_locks = false;
-
-    // Optimistic (RCU-style) path walk for read-only ops (stat/readdir/
-    // read): traverse without locking, lock only the target, then validate
-    // the recorded per-component version chain before trusting the data
-    // (docs/CONCURRENCY.md §4-5). Falls back to the lock-coupled walk on any
-    // validation failure or after `rcu_walk_max_retries` attempts. Deleted
-    // inodes are parked until destruction in this mode so a reader that
-    // locks a just-unlinked target stays memory-safe (it then fails
-    // validation). Incompatible with disable_inode_locks.
-    bool enable_rcu_walk = false;
-    uint32_t rcu_walk_max_retries = 2;
 
     // VALIDATION ONLY: skip the version-chain validation at the end of an
     // optimistic walk and report the (possibly stale) read as-is, emitting
@@ -123,11 +117,19 @@ class AtomFs : public FileSystem {
   using FileSystem::Unlink;
   using FileSystem::Write;
 
-  // kFsCapRcuWalk when the optimistic read path is enabled; sharding and
-  // transactions are layered above AtomFs, so their bits are OR'd in by the
-  // wrapping ShardedFs / server.
+  // Optimistic (RCU-style) reads: stat/readdir/read first traverse without
+  // locking, lock only the target (or, after a lookup miss, the directory
+  // that missed), then validate the recorded per-component version chain
+  // before trusting the data (docs/CONCURRENCY.md §4-5). An op makes at most
+  // this many attempts before it falls back to the lock-coupled walk. On in
+  // every AtomFs that has inode locks.
+  static constexpr uint32_t kRcuWalkAttempts = 3;
+
+  // kFsCapRcuWalk whenever inode locks are on; sharding and transactions are
+  // layered above AtomFs, so their bits are OR'd in by the wrapping
+  // ShardedFs / server.
   uint32_t Capabilities() const override {
-    return opts_.enable_rcu_walk ? kFsCapRcuWalk : 0;
+    return opts_.disable_inode_locks ? 0 : kFsCapRcuWalk;
   }
 
   // Deep snapshot of the whole tree as a SpecFs (concrete inums preserved).
@@ -138,6 +140,9 @@ class AtomFs : public FileSystem {
   // Live inodes (root included). Quiescent-only, like SnapshotSpec.
   uint64_t InodeCount() const { return inode_count_.load(std::memory_order_relaxed); }
 
+  // Retired inodes, entry shells and bucket arrays not yet freed.
+  size_t PendingReclaim() const { return reclaimer_.pending(); }
+
  private:
   // mkdir/mknod share one body; rmdir/unlink likewise (the paper's ins/del).
   Status Insert(const Path& path, FileType type);
@@ -146,6 +151,12 @@ class AtomFs : public FileSystem {
   // Resolves `path` to its target inode with lock coupling and returns it
   // locked. Shared by stat/readdir/read/write/truncate.
   Result<Inode*> ResolveTargetLocked(const Path& path);
+
+  // Resolves a read's target: the optimistic walk first, then the locked
+  // one. Returns the target locked; sets `*linearized` when the optimistic
+  // walk already observed the op's LP. An error comes with its LP observed
+  // and no lock held.
+  Result<Inode*> ResolveReadTarget(const Path& path, bool* linearized);
 
   // Walks `parts[0..count)` from the root with lock coupling; returns the
   // final inode locked. On ENOENT/ENOTDIR the failure LP is emitted and all
@@ -158,20 +169,21 @@ class AtomFs : public FileSystem {
 
   // --- optimistic (RCU) walk, docs/CONCURRENCY.md §4-5 ---
 
-  // Attempts up to rcu_walk_max_retries optimistic resolutions of `path`.
-  // On success returns the target inode LOCKED (role kOptTarget) with its
-  // version chain validated (or validation skipped under the unsafe hook)
-  // and the op's LP already observed — the caller must not observe another;
-  // returns nullptr after emitting OnOptWalkFallback when every attempt
-  // failed — the caller then runs the ordinary lock-coupled walk. Never
-  // reports errors: a lock-free miss may be transient, so only the locked
-  // walk is allowed to decide ENOENT/ENOTDIR.
-  Inode* TryOptimisticResolve(const Path& path);
-  // One attempt: lock-free traverse recording (node, version) pairs, lock
-  // the target, validate, observe the LP. Emits exactly one
-  // OnOptWalkValidate; a pass is followed by OnLp and, when the chain moved
-  // before that LP was recorded, by OnOptWalkRetract.
-  Inode* OptimisticAttempt(const Path& path);
+  // Makes up to kRcuWalkAttempts optimistic resolutions of `path`. Returns
+  // what the first decisive attempt returned, or nullptr after emitting
+  // OnOptWalkFallback when none was — the caller then runs the ordinary
+  // lock-coupled walk.
+  Result<Inode*> TryOptimisticResolve(const Path& path);
+  // One attempt, pinned: lock-free traverse recording (node, version) pairs,
+  // lock the target, validate, observe the LP. Returns the target LOCKED
+  // (role kOptTarget) with its chain validated (or validation skipped under
+  // the unsafe hook); kNoEnt when a lookup missed and the miss validated
+  // under the lock of the directory that missed (the failure LP observed,
+  // that lock released); nullptr when the attempt failed. Never decides
+  // ENOTDIR: only the locked walk may. Emits exactly one OnOptWalkValidate;
+  // a pass is followed by OnLp and, when the chain moved before that LP was
+  // recorded, by OnOptWalkRetract.
+  Result<Inode*> OptimisticAttempt(const Path& path);
 
   // Seqlock write protocol (docs/CONCURRENCY.md §3): callers hold `node`'s
   // lock. Open flips the version odd before the first chain mutation; Close
@@ -187,10 +199,12 @@ class AtomFs : public FileSystem {
   void UnlockAll(const std::vector<Inode*>& nodes);
 
   std::unique_ptr<Inode> NewInode(FileType type);
-  // Destroys a detached subtree iteratively (or parks it in unsafe mode).
+  // Frees the file blocks of a detached, childless inode and retires the
+  // rest (docs/CONCURRENCY.md §4). Called with no lock held.
   void DisposeInode(std::unique_ptr<Inode> node);
 
   void ObserveBegin(const OpCall& call);
+  // Also runs a due reclaimer scan: every op ends here with no lock held.
   void ObserveEnd(const OpResult& result);
   // Emits the LP event. `created` carries the concrete inum allocated by a
   // successful ins.
@@ -200,13 +214,12 @@ class AtomFs : public FileSystem {
   Status FailOp(Errc code);
 
   Options opts_;
+  // Declared before root_: its destructor frees the limbo list after the
+  // tree is torn down.
+  Reclaimer reclaimer_;
   std::unique_ptr<Inode> root_;
   std::atomic<Inum> next_inum_{kRootInum + 1};
   std::atomic<uint64_t> inode_count_{1};
-
-  // unsafe_release_before_lock only: deleted inodes parked until shutdown.
-  std::mutex graveyard_mu_;
-  std::vector<std::unique_ptr<Inode>> graveyard_;
 };
 
 }  // namespace atomfs

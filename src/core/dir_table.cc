@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/core/inode.h"
+#include "src/core/reclaimer.h"
 #include "src/util/check.h"
 
 namespace atomfs {
@@ -42,43 +43,15 @@ void DirTable::ForEachEntry(const Buckets& b, Fn fn) {
   }
 }
 
-DirTable::DirTable(bool defer_reclaim) : defer_reclaim_(defer_reclaim) {}
-
-DirTable::~DirTable() {
-  if (Buckets* b = LockedBuckets(); b != nullptr) {
-    ForEachEntry(*b, [](Entry* e) { delete e; });
-    delete b;
-  }
-  for (Entry* e : retired_) {
-    delete e;
-  }
-  while (retired_buckets_ != nullptr) {
-    delete std::exchange(retired_buckets_, retired_buckets_->retired_next);
-  }
+DirTable::Buckets::~Buckets() {
+  ForEachEntry(*this, [](Entry* e) { delete e; });
 }
+
+DirTable::~DirTable() { delete LockedBuckets(); }
 
 size_t DirTable::bucket_count() const {
   const Buckets* b = LockedBuckets();
   return b == nullptr ? 0 : b->mask + 1;
-}
-
-void DirTable::Retire(Entry* e) {
-  if (defer_reclaim_) {
-    // Leave e->next intact: a lock-free reader parked on this shell must
-    // still be able to continue down the chain it was traversing.
-    retired_.push_back(e);
-  } else {
-    delete e;
-  }
-}
-
-void DirTable::Retire(Buckets* b) {
-  if (defer_reclaim_) {
-    b->retired_next = retired_buckets_;
-    retired_buckets_ = b;
-  } else {
-    delete b;
-  }
 }
 
 DirTable::Buckets* DirTable::Grow(Buckets* old) {
@@ -102,8 +75,10 @@ DirTable::Buckets* DirTable::Grow(Buckets* old) {
   });
   // Publish: an acquire reader of buckets_ sees every head and shell above.
   buckets_.store(grown, std::memory_order_release);
-  ForEachEntry(*old, [this](Entry* e) { Retire(e); });
-  Retire(old);
+  // Retire the old array whole: its shells keep their links, so a reader
+  // parked on one still reaches the rest of the chain it was walking, and
+  // they are freed with the array.
+  reclaimer_->Retire(old);
   return grown;
 }
 
@@ -190,7 +165,7 @@ std::unique_ptr<Inode> DirTable::Remove(std::string_view name) {
       // RCU-unlink: splice e out but keep e->next so in-flight readers on e
       // still reach the chain's tail.
       link->store(e->next.load(std::memory_order_relaxed), std::memory_order_release);
-      Retire(e);
+      reclaimer_->Retire(e);
       ATOMFS_CHECK(size_ > 0);
       --size_;
       return child;
@@ -209,10 +184,7 @@ std::vector<std::unique_ptr<Inode>> DirTable::TakeAll() {
   std::vector<std::unique_ptr<Inode>> out;
   out.reserve(size_);
   if (Buckets* b = LockedBuckets(); b != nullptr) {
-    ForEachEntry(*b, [&out](Entry* e) {
-      out.push_back(std::move(e->child));
-      delete e;
-    });
+    ForEachEntry(*b, [&out](Entry* e) { out.push_back(std::move(e->child)); });
     buckets_.store(nullptr, std::memory_order_relaxed);
     delete b;
   }

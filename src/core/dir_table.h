@@ -35,10 +35,10 @@
 //    would have found before the resize. The caller's version check rejects
 //    whatever it read, since every Insert runs inside a version bump.
 //
-// Retire frees at once, or, when `defer_reclaim` is set, keeps removed
-// shells and replaced arrays until the destructor, so a stale traversal
-// never touches freed memory. (The child inode's lifetime is handled
-// separately by the owner — see AtomFs::DisposeInode's graveyard.)
+// Removed shells and replaced arrays go to the owner's Reclaimer
+// (src/core/reclaimer.h), which frees them once no pinned reader can still
+// be on them. (The owner retires removed child inodes the same way — see
+// AtomFs::DisposeInode.)
 //
 // Entries own their child inodes: the directory tree is the ownership tree,
 // and rename moves ownership between tables.
@@ -57,14 +57,14 @@
 namespace atomfs {
 
 struct Inode;
+class Reclaimer;
 
 class DirTable {
  public:
-  // `defer_reclaim` keeps removed entry shells and replaced bucket arrays
-  // alive until destruction so lock-free readers (FindOptimistic) never
-  // chase a dangling pointer. Leave it false when no reader ever walks the
-  // table without the lock.
-  explicit DirTable(bool defer_reclaim = false);
+  // Removed shells and replaced arrays are retired through `reclaimer`, so
+  // a pinned lock-free reader (FindOptimistic) never chases a freed
+  // pointer.
+  explicit DirTable(Reclaimer& reclaimer) : reclaimer_(&reclaimer) {}
   ~DirTable();
 
   DirTable(const DirTable&) = delete;
@@ -81,7 +81,8 @@ class DirTable {
   Inode* Find(std::string_view name, size_t* probes = nullptr) const;
 
   // Lock-free lookup for the optimistic walk: acquire-loads the bucket
-  // array, the chain and the published child pointer. May return a child
+  // array, the chain and the published child pointer. The caller must be
+  // pinned (EpochPin) for as long as it uses the result. May return a child
   // that is concurrently being removed — the caller MUST validate version
   // counters before trusting anything it read (docs/CONCURRENCY.md §5).
   // Returns nullptr on a miss or when racing a removal.
@@ -116,29 +117,26 @@ class DirTable {
   };
 
   // A power-of-two array of chain heads. Its size is fixed once published.
+  // It owns the shells linked from its heads and frees them with itself.
   struct Buckets {
     explicit Buckets(size_t count);
+    ~Buckets();
     std::atomic<Entry*>& HeadOf(std::string_view name) { return heads[Hash(name) & mask]; }
 
     const size_t mask;
     const std::unique_ptr<std::atomic<Entry*>[]> heads;
-    Buckets* retired_next = nullptr;  // the retired list, with defer_reclaim
   };
 
   Buckets* LockedBuckets() const { return buckets_.load(std::memory_order_relaxed); }
   // Calls fn(e) for every entry linked from `b`, reading e->next first so
-  // fn may free e. Under the owning lock only.
+  // fn may free e. Under the owning lock, or on an array no reader can reach.
   template <typename Fn>
   static void ForEachEntry(const Buckets& b, Fn fn);
   Buckets* Grow(Buckets* old);
-  void Retire(Entry* e);
-  void Retire(Buckets* b);
 
   std::atomic<Buckets*> buckets_{nullptr};
-  Buckets* retired_buckets_ = nullptr;  // replaced arrays, freed in ~DirTable
-  std::vector<Entry*> retired_;         // unlinked shells, freed in ~DirTable
+  Reclaimer* const reclaimer_;
   size_t size_ = 0;
-  const bool defer_reclaim_;
 };
 
 }  // namespace atomfs

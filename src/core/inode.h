@@ -19,16 +19,17 @@
 namespace atomfs {
 
 struct Inode {
+  // `reclaimer` takes the shells and bucket arrays `dir` retires.
   Inode(Inum ino_arg, FileType type_arg, std::unique_ptr<Lockable> lock_arg,
-        bool rcu_dir = false)
-      : ino(ino_arg), type(type_arg), lock(std::move(lock_arg)), dir(rcu_dir) {}
+        Reclaimer& reclaimer)
+      : ino(ino_arg), type(type_arg), lock(std::move(lock_arg)), dir(reclaimer) {}
 
   const Inum ino;
   const FileType type;
-  // Set while a thread holds `lock` (maintained only with the optimistic walk
-  // on). A held ancestor may carry a helped operation whose abstract effect
-  // already happened and whose concrete one is still to come, so an
-  // optimistic reader must not validate through it (docs/CONCURRENCY.md §5).
+  // Set while a thread holds `lock`. A held ancestor may carry a helped
+  // operation whose abstract effect already happened and whose concrete one
+  // is still to come, so an optimistic reader must not validate through it
+  // (docs/CONCURRENCY.md §5).
   // Sits in the padding after `type`, so an Inode stays two cache lines.
   std::atomic<bool> held{false};
   const std::unique_ptr<Lockable> lock;

@@ -1,5 +1,7 @@
 #include "src/crlh/gate.h"
 
+#include <chrono>
+
 namespace atomfs {
 
 void GateObserver::Arm(Tid tid, Point point, Inum ino) {
@@ -31,6 +33,28 @@ bool GateObserver::IsParked(Tid tid) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = gates_.find(tid);
   return it != gates_.end() && it->second.parked;
+}
+
+bool GateObserver::StartOnLockedWalk(OpThread& reader, std::function<void()> hold_root) {
+  OpThread holder(std::move(hold_root));
+  Arm(holder.tid(), Point::kLockAcquired, kRootInum);
+  holder.Go();
+  WaitParked(holder.tid());
+  uint64_t before = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    before = fallbacks_[reader.tid()];
+  }
+  reader.Go();
+  bool fell_back = false;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    fell_back = cv_.wait_for(lk, std::chrono::seconds(30),
+                             [&] { return fallbacks_[reader.tid()] > before; });
+  }
+  Open(holder.tid());
+  holder.Join();
+  return fell_back;
 }
 
 void GateObserver::MaybePark(Tid tid, Point point, Inum ino) {
@@ -74,6 +98,12 @@ void GateObserver::OnLockReleased(Tid tid, Inum ino) {
 void GateObserver::OnLp(Tid tid, Inum created_ino) {
   (void)created_ino;
   MaybePark(tid, Point::kLp, kInvalidInum);
+}
+
+void GateObserver::OnOptWalkFallback(Tid tid) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++fallbacks_[tid];
+  cv_.notify_all();
 }
 
 }  // namespace atomfs

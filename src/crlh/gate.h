@@ -15,10 +15,12 @@
 #define ATOMFS_SRC_CRLH_GATE_H_
 
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
 
 #include "src/core/observer.h"
+#include "src/crlh/op_thread.h"
 
 namespace atomfs {
 
@@ -44,11 +46,23 @@ class GateObserver : public FsObserver {
   // True if `tid` is currently parked.
   bool IsParked(Tid tid) const;
 
+  // RCU-walk is on in every AtomFs, so a read (stat/readdir/read) takes the
+  // lock-coupled walk, the only one a rename can help, only once all its
+  // optimistic attempts have failed. This puts `reader` (not yet started)
+  // on that walk: it runs `hold_root` on a fresh thread parked right after
+  // it locks the root (a held ancestor fails every optimistic attempt),
+  // starts the reader, waits until the reader falls back, then lets the
+  // holder finish. Gates armed on the reader beforehand stay armed; its
+  // attempts lock and release only its target. Returns false if the reader
+  // did not fall back within 30 s.
+  bool StartOnLockedWalk(OpThread& reader, std::function<void()> hold_root);
+
   // FsObserver.
   void OnOpBegin(Tid tid, const OpCall& call) override;
   void OnLockAcquired(Tid tid, Inum ino, LockPathRole role) override;
   void OnLockReleased(Tid tid, Inum ino) override;
   void OnLp(Tid tid, Inum created_ino) override;
+  void OnOptWalkFallback(Tid tid) override;
 
  private:
   struct Gate {
@@ -64,6 +78,7 @@ class GateObserver : public FsObserver {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<Tid, Gate> gates_;
+  std::map<Tid, uint64_t> fallbacks_;
 };
 
 }  // namespace atomfs

@@ -117,7 +117,7 @@ ShardedFs::ShardedFs(Options options) : opts_(std::move(options)), router_(opts_
 ShardedFs::~ShardedFs() = default;
 
 uint32_t ShardedFs::Capabilities() const {
-  return kFsCapSharding | (opts_.fs.enable_rcu_walk ? kFsCapRcuWalk : 0);
+  return kFsCapSharding | shards_.front()->Capabilities();
 }
 
 // --- FileSystem virtuals: wrap into FsOp, route through Dispatch ------------

@@ -193,27 +193,46 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
                                            16));
 
-// The optimistic (RCU) walk must be semantically invisible: the same
-// differential sweep with enable_rcu_walk set. Sequentially every optimistic
-// read either validates on the first attempt (nothing mutates concurrently)
-// or misses a nonexistent path and falls back — both must produce exactly
-// the spec's results.
+// The optimistic (RCU) walk must be semantically invisible, and
+// sequentially it must also decide every read itself: nothing mutates
+// concurrently, so every attempt validates on the first try, a lookup miss
+// included (it decides ENOENT under the directory's lock). Only a path
+// through a file falls back, because ENOTDIR is the locked walk's to decide.
 class RcuDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RcuDifferentialTest, RcuWalkRefinesSpecSequentially) {
   Rng rng(GetParam());
+  MetricsRegistry registry;
+  TracingObserver tracer(&registry);
   AtomFs::Options opts;
-  opts.enable_rcu_walk = true;
+  opts.observer = &tracer;
   AtomFs fs(std::move(opts));
   SpecFs spec;
+  uint64_t reads = 0;
   for (int i = 0; i < 400; ++i) {
     OpCall call = RandomCall(rng);
+    const uint64_t fallbacks_before =
+        registry.Snapshot().CounterValue("core.rcuwalk.fallbacks");
     OpResult concrete = RunOp(fs, call);
     OpResult abstract = RunOp(spec, call);
     ASSERT_TRUE(ResultsEquivalent(call.kind, concrete, abstract))
         << call.ToString() << ": concrete=" << concrete.ToString(call.kind)
         << " abstract=" << abstract.ToString(call.kind) << " (step " << i << ")";
+    const bool read = call.kind == OpKind::kStat || call.kind == OpKind::kReadDir ||
+                      call.kind == OpKind::kRead;
+    reads += read ? 1 : 0;
+    if (concrete.status.code() != Errc::kNotDir) {
+      EXPECT_EQ(registry.Snapshot().CounterValue("core.rcuwalk.fallbacks"), fallbacks_before)
+          << call.ToString() << " fell back (step " << i << ")";
+    }
   }
+  // The only failed attempts are those of the reads that fell back.
+  const MetricsSnapshot snap = registry.Snapshot();
+  const uint64_t attempts = snap.CounterValue("core.rcuwalk.attempts");
+  const uint64_t failures = snap.CounterValue("core.rcuwalk.validation_failures");
+  const uint64_t fallbacks = snap.CounterValue("core.rcuwalk.fallbacks");
+  EXPECT_EQ(failures, AtomFs::kRcuWalkAttempts * fallbacks);
+  EXPECT_EQ(attempts - failures + fallbacks, reads);
   EXPECT_TRUE(StructurallyEqual(fs.SnapshotSpec(), spec));
   EXPECT_TRUE(spec.WellFormed());
 }
@@ -233,7 +252,6 @@ TEST(AtomFsRcuVersions, QuiescedVersionsStayEven) {
   MetricsRegistry registry;
   TracingObserver tracer(&registry);
   AtomFs::Options opts;
-  opts.enable_rcu_walk = true;
   opts.observer = &tracer;
   AtomFs fs(std::move(opts));
 

@@ -10,13 +10,17 @@
 #include <vector>
 
 #include "src/core/inode.h"
+#include "src/core/reclaimer.h"
 #include "src/sim/executor.h"
 
 namespace atomfs {
 namespace {
 
+// The children's own tables never insert, so they never retire anything.
+Reclaimer g_children;
+
 std::unique_ptr<Inode> MakeInode(Inum ino, FileType type = FileType::kFile) {
-  return std::make_unique<Inode>(ino, type, Executor::Real().CreateLock());
+  return std::make_unique<Inode>(ino, type, Executor::Real().CreateLock(), g_children);
 }
 
 // `count` names that share one bucket in every table of up to 1024 heads,
@@ -33,7 +37,8 @@ std::vector<std::string> CollidingNames(size_t count) {
 }
 
 TEST(DirTable, InsertFindRemove) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(table.empty());
   EXPECT_EQ(table.Find("a"), nullptr);
@@ -51,7 +56,8 @@ TEST(DirTable, InsertFindRemove) {
 }
 
 TEST(DirTable, DuplicateInsertRejected) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   EXPECT_TRUE(table.Insert("a", MakeInode(1)));
   EXPECT_FALSE(table.Insert("a", MakeInode(2)));
   EXPECT_EQ(table.size(), 1u);
@@ -59,7 +65,8 @@ TEST(DirTable, DuplicateInsertRejected) {
 }
 
 TEST(DirTable, RemoveMissingReturnsNull) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   EXPECT_EQ(table.Remove("nope"), nullptr);
 }
 
@@ -67,7 +74,8 @@ TEST(DirTable, SingleBucketChainsCorrectly) {
   // Every entry collides: exercises the linked-list path, across the
   // doublings that rehash the chain into each new array.
   const std::vector<std::string> names = CollidingNames(100);
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(table.Insert(names[i], MakeInode(100 + i)));
   }
@@ -97,7 +105,8 @@ TEST(DirTable, SingleBucketChainsCorrectly) {
 }
 
 TEST(DirTable, GrowsToKeepLoadFactorAtMostOne) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   size_t last = 0;
   for (int i = 0; i < 3000; ++i) {
     ASSERT_TRUE(table.Insert("g" + std::to_string(i), MakeInode(i + 1)));
@@ -116,8 +125,12 @@ TEST(DirTable, GrowsToKeepLoadFactorAtMostOne) {
 
 TEST(DirTable, TenThousandInsertsThenRemoveEveryOther) {
   constexpr int kNames = 10000;
-  for (bool defer : {false, true}) {
-    DirTable table(defer);
+  // Once with nothing pinned, so a scan frees every retired shell and array,
+  // and once pinned throughout, so every one of them waits.
+  for (bool pinned : {false, true}) {
+    Reclaimer reclaimer;
+    const EpochPin pin(pinned);
+    DirTable table(reclaimer);
     for (int i = 0; i < kNames; ++i) {
       ASSERT_TRUE(table.Insert("e" + std::to_string(i), MakeInode(i + 1)));
     }
@@ -125,6 +138,12 @@ TEST(DirTable, TenThousandInsertsThenRemoveEveryOther) {
       ASSERT_NE(table.Remove("e" + std::to_string(i)), nullptr);
     }
     ASSERT_EQ(table.size(), static_cast<size_t>(kNames / 2));
+    reclaimer.Scan();
+    if (pinned) {
+      EXPECT_GE(reclaimer.pending(), static_cast<size_t>(kNames / 2));
+    } else {
+      EXPECT_EQ(reclaimer.pending(), 0u);
+    }
     for (int i = 0; i < kNames; ++i) {
       const std::string name = "e" + std::to_string(i);
       if (i % 2 == 0) {
@@ -157,7 +176,8 @@ TEST(DirTable, TenThousandInsertsThenRemoveEveryOther) {
 }
 
 TEST(DirTable, ForEachVisitsAll) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   for (int i = 0; i < 37; ++i) {
     EXPECT_TRUE(table.Insert("k" + std::to_string(i), MakeInode(i + 1)));
   }
@@ -170,7 +190,8 @@ TEST(DirTable, ForEachVisitsAll) {
 }
 
 TEST(DirTable, TakeAllDrainsOwnership) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(table.Insert("k" + std::to_string(i), MakeInode(i + 1)));
   }
@@ -184,7 +205,8 @@ TEST(DirTable, EmptyTableHasNoBucketArray) {
   // A file inode's table is never inserted into, so it never allocates.
   auto file = MakeInode(1);
   EXPECT_EQ(file->dir.bucket_count(), 0u);
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   EXPECT_EQ(table.bucket_count(), 0u);
   EXPECT_EQ(table.Find("a"), nullptr);
   EXPECT_EQ(table.FindOptimistic("a"), nullptr);
@@ -200,7 +222,8 @@ TEST(DirTable, EmptyTableHasNoBucketArray) {
 // --- optimistic (lock-free reader) lookups -----------------------------------
 
 TEST(DirTable, FindOptimisticSeesPublishedEntries) {
-  DirTable table;
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   EXPECT_EQ(table.FindOptimistic("a"), nullptr);
   EXPECT_TRUE(table.Insert("a", MakeInode(10)));
   ASSERT_NE(table.FindOptimistic("a"), nullptr);
@@ -214,7 +237,8 @@ TEST(DirTable, FindOptimisticSeesPublishedEntries) {
 
 TEST(DirTable, FindOptimisticWalksCollisionChains) {
   const std::vector<std::string> names = CollidingNames(50);  // one chain
-  DirTable table(/*defer_reclaim=*/true);
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
   for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(table.Insert(names[i], MakeInode(100 + i)));
   }
@@ -234,13 +258,15 @@ TEST(DirTable, FindOptimisticWalksCollisionChains) {
   }
 }
 
-TEST(DirTable, DeferredReclaimRetiresShellsUntilDestruction) {
-  // With defer_reclaim the removed entries' shells stay allocated (an RCU
-  // grace period of table lifetime), so a racing optimistic reader can keep
-  // walking a chain through an unlinked entry. Single-threaded here: the
-  // point is that reuse of a name after removal works and nothing leaks
-  // (ASan covers the leak half when the table dies).
-  DirTable table(/*defer_reclaim=*/true);
+TEST(DirTable, RetiredShellsWaitForPinnedReaders) {
+  // While a reader is pinned the removed entries' shells stay allocated, so
+  // a racing optimistic reader can keep walking a chain through an unlinked
+  // entry; once it unpins, the next scan frees them. Single-threaded here:
+  // the point is that reuse of a name after removal works and nothing leaks
+  // (ASan covers the leak half when the reclaimer dies).
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
+  auto pin = std::make_unique<EpochPin>();
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 20; ++i) {
       EXPECT_TRUE(table.Insert("k" + std::to_string(i), MakeInode(round * 100 + i + 1)));
@@ -253,6 +279,12 @@ TEST(DirTable, DeferredReclaimRetiresShellsUntilDestruction) {
     EXPECT_EQ(table.Find("k0"), nullptr);
     EXPECT_EQ(table.FindOptimistic("k0"), nullptr);
   }
+  // 60 removed shells, plus the shells and arrays the first round's growth
+  // replaced.
+  EXPECT_GE(reclaimer.pending(), 60u);
+  pin.reset();
+  reclaimer.Scan();
+  EXPECT_EQ(reclaimer.pending(), 0u);
 }
 
 }  // namespace

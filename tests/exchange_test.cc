@@ -216,8 +216,10 @@ TEST_F(ExchangeScenarioTest, ExchangeHelpsStatDeepInside) {
     ASSERT_TRUE(attr.ok());
     EXPECT_EQ(attr->size, 4u);
   });
+  // The stat runs the lock-coupled walk (an optimistic one holds no path an
+  // exchange could help) and parks holding only f.
   gate_.Arm(reader.tid(), GateObserver::Point::kLockReleased, ino_q);
-  reader.Go();
+  ASSERT_TRUE(gate_.StartOnLockedWalk(reader, [&] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
   gate_.WaitParked(reader.tid());
 
   EXPECT_TRUE(fs_->Exchange("/p", "/other").ok());

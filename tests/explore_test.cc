@@ -156,6 +156,41 @@ TEST(ExploreExhaustive, DeleteVsStat) {
   EXPECT_TRUE(stats.all_ok);
 }
 
+// A stat that misses decides ENOENT under the lock of the directory that
+// missed, after its version chain validates. Racing an insert of the very
+// name, every schedule must linearize: a miss whose lookup preceded the
+// insert but whose validation follows it must retry, not decide.
+TEST(ExploreExhaustive, MknodVsStatValidatedMiss) {
+  ConcurrentProgram program;
+  program.setup = [](FileSystem& fs) { ASSERT_TRUE(fs.Mkdir("/d").ok()); };
+  program.threads = {{Mknod("/d/x")}, {Stat("/d/x")}};
+  ExploreOptions options;
+  options.wing_gong = true;
+  auto stats = ExploreSchedules(program, options);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_TRUE(stats.all_ok) << (stats.failure_messages.empty()
+                                    ? "?"
+                                    : stats.failure_messages[0]);
+}
+
+// The same against a removal: the stat may hit the name or miss it, and a
+// miss must linearize after the unlink.
+TEST(ExploreExhaustive, UnlinkVsStatValidatedMiss) {
+  ConcurrentProgram program;
+  program.setup = [](FileSystem& fs) {
+    ASSERT_TRUE(fs.Mkdir("/d").ok());
+    ASSERT_TRUE(fs.Mknod("/d/x").ok());
+  };
+  program.threads = {{Unlink("/d/x")}, {Stat("/d/x")}};
+  ExploreOptions options;
+  options.wing_gong = true;
+  auto stats = ExploreSchedules(program, options);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_TRUE(stats.all_ok) << (stats.failure_messages.empty()
+                                    ? "?"
+                                    : stats.failure_messages[0]);
+}
+
 // The negative direction: with lock coupling disabled, exploration must
 // AUTOMATICALLY find the paper's Figure 8 violation — no hand-crafted
 // schedule required. This is the model-checking payoff: the same program

@@ -127,7 +127,9 @@ TEST_F(Fig9Test, FdReadHelpedAcrossRename) {
   auto fd = vfs_->Open("/a/b/f", OpenFlags::kRead);
   ASSERT_TRUE(fd.ok());
 
-  // Park a read mid-flight holding only f, then rename /a away.
+  // Put the read on the lock-coupled walk (an optimistic read holds no path
+  // a rename could help), park it mid-flight holding only f, then rename /a
+  // away.
   OpThread reader([&] {
     std::byte buf[16];
     auto n = vfs_->Pread(*fd, 0, buf);
@@ -135,7 +137,7 @@ TEST_F(Fig9Test, FdReadHelpedAcrossRename) {
     EXPECT_EQ(*n, 7u);
   });
   gate_.Arm(reader.tid(), GateObserver::Point::kLockReleased, ino_b);
-  reader.Go();
+  ASSERT_TRUE(gate_.StartOnLockedWalk(reader, [&] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
   gate_.WaitParked(reader.tid());
 
   ASSERT_TRUE(fs_->Rename("/a", "/z").ok());

@@ -825,17 +825,22 @@ TEST(DocsDriftTest, ConcurrencyDocMatchesRcuWalkConstantsAndAtomics) {
   EXPECT_NE(doc.find("`attempts - validation_failures + fallbacks`"), std::string::npos)
       << "doc lost the fallback accounting identity";
 
-  // The retry budget must state the compiled-in default.
-  const AtomFs::Options defaults;
-  const std::string retries = "`1 + rcu_walk_max_retries` attempts (default retries: " +
-                              std::to_string(defaults.rcu_walk_max_retries) + ")";
-  EXPECT_NE(doc.find(retries), std::string::npos) << "missing anchor: " << retries;
+  // The attempt budget must state the compiled-in constant.
+  const std::string attempts = "`AtomFs::kRcuWalkAttempts` attempts (" +
+                               std::to_string(AtomFs::kRcuWalkAttempts) + ")";
+  EXPECT_NE(doc.find(attempts), std::string::npos) << "missing anchor: " << attempts;
+  // So must the reclaimer's scan period.
+  const std::string scan = "every `Reclaimer::kScanEvery` (" +
+                           std::to_string(Reclaimer::kScanEvery) + ") retirements";
+  EXPECT_NE(doc.find(scan), std::string::npos) << "missing anchor: " << scan;
 
-  // Every atomic in the walk must have memory-order table rows.
+  // Every atomic in the walk, and the reclaimer's epoch, slots and limbo
+  // list, must have memory-order table rows.
   for (const char* atomic_name :
        {"| `Inode::version` |", "| `Inode::held` |", "| `DirTable::buckets_` |",
         "| retired arrays and shells |", "| bucket head `heads[i]` |", "| `Entry::next` |",
-        "| `Entry::pub` |"}) {
+        "| `Entry::pub` |", "| epoch `g_epoch` |", "| slot `Slot::epoch` |",
+        "| limbo list `Reclaimer::limbo_` |"}) {
     EXPECT_NE(doc.find(atomic_name), std::string::npos)
         << "memory-order table lost rows for " << atomic_name;
   }
@@ -846,6 +851,8 @@ TEST(DocsDriftTest, ConcurrencyDocMatchesRcuWalkConstantsAndAtomics) {
   EXPECT_NE(doc.find("record + revalidate loads (`OptimisticAttempt`) | `acquire`"),
             std::string::npos)
       << "reader acquire row out of date";
+  EXPECT_NE(doc.find("pin: store, then fence (`EpochPin`) | `seq_cst` fence"), std::string::npos)
+      << "pin fence row out of date";
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -40,6 +41,7 @@
 #include "src/core/atom_fs.h"
 #include "src/core/dir_table.h"
 #include "src/core/inode.h"
+#include "src/core/reclaimer.h"
 #include "src/crlh/monitor.h"
 #include "src/net/wire.h"
 #include "src/obs/export.h"
@@ -157,7 +159,6 @@ TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
   TeeObserver tee(&monitor, &tracer);
   AtomFs::Options opts;
   opts.observer = &tee;
-  opts.enable_rcu_walk = true;
   AtomFs fs(std::move(opts));
 
   RaceBarrier barrier(mutators + readers);
@@ -252,7 +253,6 @@ TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
   TeeObserver tee(&monitor, &tracer);
   AtomFs::Options opts;
   opts.observer = &tee;
-  opts.enable_rcu_walk = true;
   AtomFs fs(std::move(opts));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
 
@@ -319,9 +319,12 @@ TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
 // readers call DirTable::FindOptimistic on whichever table the writer is
 // filling, so many stand on a bucket array at the moment it is replaced.
 // Each table grows from 8 to 64 heads, so the run replaces thousands of
-// small arrays whose shells are retired right after the publish. A replaced
-// array or shell must stay readable (ASan, TSan) and every hit must be the
-// inode that name was inserted with, whichever array it was found through.
+// small arrays whose shells are retired right after the publish. Readers pin
+// around each lookup, and the reclaimer frees what they can no longer
+// reach while they run. A replaced array or shell must stay readable while
+// a reader that could reach it is pinned (ASan, TSan), and every hit must be
+// the inode that name was inserted with, whichever array it was found
+// through.
 TEST(RaceStress, OptimisticLookupsVsTableGrowth) {
   const uint64_t seed = StressSeed();
   const int readers = 3;
@@ -332,9 +335,10 @@ TEST(RaceStress, OptimisticLookupsVsTableGrowth) {
     names.push_back("e" + std::to_string(i));
   }
   auto ino_of = [per_table](int t, int i) { return static_cast<Inum>(t * per_table + i + 1); };
+  Reclaimer reclaimer;
   std::vector<std::unique_ptr<DirTable>> dirs;
   for (int t = 0; t < tables; ++t) {
-    dirs.push_back(std::make_unique<DirTable>(/*defer_reclaim=*/true));
+    dirs.push_back(std::make_unique<DirTable>(reclaimer));
   }
   std::vector<std::unique_ptr<Inode>> removed;  // kept alive until the readers stop
 
@@ -351,11 +355,13 @@ TEST(RaceStress, OptimisticLookupsVsTableGrowth) {
     for (int t = 0; t < tables && std::chrono::steady_clock::now() < deadline; ++t) {
       current.store(t, std::memory_order_release);
       for (int i = 0; i < per_table; ++i) {
-        dirs[t]->Insert(names[i], std::make_unique<Inode>(ino_of(t, i), FileType::kFile,
-                                                          Executor::Real().CreateLock()));
+        dirs[t]->Insert(names[i],
+                        std::make_unique<Inode>(ino_of(t, i), FileType::kFile,
+                                                Executor::Real().CreateLock(), reclaimer));
         if (i % 3 == 2) {
           removed.push_back(dirs[t]->Remove(names[i - 1]));
         }
+        reclaimer.ScanIfDue();  // as an AtomFs does at the end of every op
       }
       if (t % 16 == 0) {
         shaker.Perturb();
@@ -372,6 +378,7 @@ TEST(RaceStress, OptimisticLookupsVsTableGrowth) {
       while (!writer_done.load(std::memory_order_acquire)) {
         const int t = current.load(std::memory_order_acquire);
         const int i = static_cast<int>(rng.Below(per_table));
+        const EpochPin pin;
         if (const Inode* found = dirs[t]->FindOptimistic(names[i]); found != nullptr) {
           ++local_hits;
           local_wrong += found->ino != ino_of(t, i) ? 1 : 0;
@@ -392,6 +399,95 @@ TEST(RaceStress, OptimisticLookupsVsTableGrowth) {
     EXPECT_EQ(dir->size(), static_cast<size_t>(per_table - per_table / 3));
     EXPECT_EQ(dir->bucket_count(), static_cast<size_t>(per_table));
   }
+}
+
+// The epoch reclaimer under the churn it exists for: one writer creates,
+// writes and unlinks file after file in /d while readers stat and read
+// names in /d, through the optimistic walk, under the CRL-H monitor. Every
+// unlink retires an inode and an entry shell that a pinned reader may still
+// be on. The monitor must stay clean, the limbo list must stay bounded (the
+// writer retires about 2 objects per file, far more than the bound, so
+// reclamation must keep up while readers pin), and ASan/LSan must find
+// neither a use after free during the run nor a leak after ~AtomFs.
+TEST(RaceStress, ReclaimUnderUnlinkChurn) {
+  const uint64_t seed = StressSeed();
+  const int readers = 3;
+  const int files = 100000 / kScale;
+  const int live = 16;  // files in /d at any time
+  const size_t pending_bound = 64 * Reclaimer::kScanEvery;
+
+  // The verdict is computed online at every LP and op end; a history of
+  // every op (~100k here) would only grow the test's own memory.
+  CrlhMonitor::Options mon_opts;
+  mon_opts.record_history = false;
+  CrlhMonitor monitor(mon_opts);
+  AtomFs::Options opts;
+  opts.observer = &monitor;
+  size_t max_pending = 0;
+  {
+    AtomFs fs(std::move(opts));
+    ASSERT_TRUE(fs.Mkdir("/d").ok());
+    auto name = [](int i) { return *ParsePath("/d/f" + std::to_string(i)); };
+
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    std::atomic<int> newest{0};
+    std::atomic<bool> writer_done{false};
+    RaceBarrier barrier(1 + readers);
+    std::vector<std::thread> cohort;
+    cohort.reserve(1 + readers);
+    cohort.emplace_back([&] {
+      ScheduleShaker shaker(seed, 0);
+      const std::vector<std::byte> payload(100, std::byte{7});
+      barrier.Arrive();
+      for (int i = 0; i < files && std::chrono::steady_clock::now() < deadline; ++i) {
+        RunOp(fs, OpCall::MknodOf(name(i)));
+        RunOp(fs, OpCall::WriteOf(name(i), 0, payload));
+        newest.store(i, std::memory_order_release);
+        if (i >= live) {
+          RunOp(fs, OpCall::UnlinkOf(name(i - live)));
+        }
+        max_pending = std::max(max_pending, fs.PendingReclaim());
+        if (i % 256 == 0) {
+          shaker.Perturb();
+        }
+      }
+      writer_done.store(true, std::memory_order_release);
+    });
+    for (int r = 0; r < readers; ++r) {
+      cohort.emplace_back([&, r] {
+        Rng rng(seed * 7777 + r);
+        ScheduleShaker shaker(seed, static_cast<uint32_t>(1 + r));
+        barrier.Arrive();
+        uint64_t ops = 0;
+        while (!writer_done.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline) {
+          // Mostly names that are live or were just unlinked.
+          const int i = newest.load(std::memory_order_acquire) -
+                        static_cast<int>(rng.Below(2 * live));
+          if (rng.Below(2) == 0) {
+            RunOp(fs, OpCall::StatOf(name(std::max(i, 0))));
+          } else {
+            RunOp(fs, OpCall::ReadOf(name(std::max(i, 0)), 0, 64));
+          }
+          if (++ops % 64 == 0) {
+            shaker.Perturb();
+          }
+        }
+      });
+    }
+    for (auto& th : cohort) {
+      th.join();
+    }
+
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "writer did not finish in time";
+    ASSERT_TRUE(monitor.ok()) << monitor.violations()[0];
+    EXPECT_TRUE(monitor.CheckQuiescent(fs.SnapshotSpec()));
+    const auto dir = fs.Stat("/d");
+    ASSERT_TRUE(dir.ok());
+    EXPECT_EQ(dir->size, static_cast<uint64_t>(live));
+  }
+  EXPECT_LT(max_pending, pending_bound)
+      << "the limbo list grew with the churn: reclamation did not keep up";
 }
 
 // --- MetricsRegistry snapshot vs. writers ------------------------------------

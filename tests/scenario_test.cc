@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -32,34 +35,81 @@
 namespace atomfs {
 namespace {
 
-// Test fixture wiring AtomFs -> (CrlhMonitor, GateObserver).
-class ScenarioTest : public ::testing::Test {
- protected:
-  void Build(CrlhMonitor::Options mon_opts = {}) {
-    monitor_ = std::make_unique<CrlhMonitor>(mon_opts);
-    tee_ = std::make_unique<TeeObserver>(monitor_.get(), &gate_);
-    AtomFs::Options opts;
-    opts.observer = tee_.get();
-    fs_ = std::make_unique<AtomFs>(std::move(opts));
+// Real locks, plus a Work() that can park a thread at a cost-accounting
+// point that has no observer event: between an optimistic lookup and the
+// lock that follows it, or inside a mutation's version window. The test
+// picks the point by the cost value charged there.
+class ParkingExecutor : public Executor {
+ public:
+  std::unique_ptr<Lockable> CreateLock() override { return Executor::Real().CreateLock(); }
+  uint64_t NowNanos() override { return Executor::Real().NowNanos(); }
+
+  // Parks `tid` at its `nth` Work(cost_ns) call from now on.
+  void Arm(Tid tid, uint64_t cost_ns, int nth = 1) {
+    std::lock_guard<std::mutex> lk(mu_);
+    gates_[tid] = Gate{cost_ns, nth, false, false};
+  }
+  void WaitParked(Tid tid) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return gates_[tid].parked; });
+  }
+  void Open(Tid tid) {
+    std::lock_guard<std::mutex> lk(mu_);
+    gates_[tid].open = true;
+    cv_.notify_all();
   }
 
-  // Like Build, but with the optimistic (RCU) walk enabled and a tracer in
-  // the chain, so tests can assert the core.rcuwalk.* counters and harvest a
-  // flight-recorder slice for a post-mortem bundle. `skip_validation` wires
-  // the test-only unsafe hook that turns a concurrent mutation into a stale
-  // read the monitor must catch.
-  void BuildRcu(bool skip_validation, CrlhMonitor::Options mon_opts = {}) {
+  void Work(uint64_t cost_ns) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    auto it = gates_.find(CurrentTid());
+    if (it == gates_.end() || it->second.cost_ns != cost_ns || it->second.remaining <= 0 ||
+        --it->second.remaining > 0) {
+      return;
+    }
+    it->second.parked = true;
+    cv_.notify_all();
+    cv_.wait(lk, [it] { return it->second.open; });
+  }
+
+ private:
+  struct Gate {
+    uint64_t cost_ns = 0;
+    int remaining = 0;
+    bool parked = false;
+    bool open = false;
+  };
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<Tid, Gate> gates_;
+};
+
+// Test fixture wiring AtomFs -> (CrlhMonitor, TracingObserver, GateObserver).
+// The tracer lets tests assert the core.rcuwalk.* counters and harvest a
+// flight-recorder slice for a post-mortem bundle. `opts` carries what a test
+// changes (the unsafe skip-validation hook, an executor, costs); the fixture
+// sets the observer.
+class ScenarioTest : public ::testing::Test {
+ protected:
+  void Build(CrlhMonitor::Options mon_opts = {}, AtomFs::Options opts = {}) {
     monitor_ = std::make_unique<CrlhMonitor>(mon_opts);
     ring_ = std::make_unique<TraceRing>(4096);
     registry_ = std::make_unique<MetricsRegistry>();
     tracer_ = std::make_unique<TracingObserver>(registry_.get(), ring_.get());
     inner_tee_ = std::make_unique<TeeObserver>(tracer_.get(), &gate_);
     tee_ = std::make_unique<TeeObserver>(monitor_.get(), inner_tee_.get());
-    AtomFs::Options opts;
     opts.observer = tee_.get();
-    opts.enable_rcu_walk = true;
-    opts.unsafe_skip_opt_validation = skip_validation;
     fs_ = std::make_unique<AtomFs>(std::move(opts));
+  }
+
+  uint64_t CounterValue(std::string_view name) const {
+    return registry_->Snapshot().CounterValue(name);
+  }
+
+  // Puts `reader` on the lock-coupled walk (GateObserver::StartOnLockedWalk)
+  // with a stat of the root as the holder.
+  void StartOnLockedWalk(OpThread& reader) {
+    ASSERT_TRUE(gate_.StartOnLockedWalk(reader, [this] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
   }
 
   Inum InoOf(std::string_view path) {
@@ -212,7 +262,8 @@ TEST_F(ScenarioTest, Fig1FixedLpModeFailsRefinement) {
 
 // Figure 4(b) flavour: a read-side operation (stat) is helped. The stat's
 // result must be computed against the pre-rename tree even though it
-// concretely finishes afterwards.
+// concretely finishes afterwards. Only a stat on the lock-coupled walk can be
+// helped (an optimistic one holds no path), so the stat starts on it.
 TEST_F(ScenarioTest, RenameHelpsStat) {
   Build();
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
@@ -228,7 +279,7 @@ TEST_F(ScenarioTest, RenameHelpsStat) {
   });
   // Park after releasing b: the stat holds only f. LockPath (root,a,b,f).
   gate_.Arm(stat_op.tid(), GateObserver::Point::kLockReleased, ino_b);
-  stat_op.Go();
+  StartOnLockedWalk(stat_op);
   gate_.WaitParked(stat_op.tid());
 
   // This rename's SrcPath (root, a, b) is a prefix of the stat's LockPath.
@@ -257,10 +308,10 @@ TEST_F(ScenarioTest, Fig4cRecursiveDependency) {
   ASSERT_TRUE(fs_->Mkdir("/b/c/d").ok());
   const Inum ino_e = InoOf("/a/e");
 
-  // t3: stat(/a/e/f), parked holding only f.
+  // t3: stat(/a/e/f) on the lock-coupled walk, parked holding only f.
   OpThread t3([&] { EXPECT_TRUE(fs_->Stat("/a/e/f").ok()); });
   gate_.Arm(t3.tid(), GateObserver::Point::kLockReleased, ino_e);
-  t3.Go();
+  StartOnLockedWalk(t3);
   gate_.WaitParked(t3.tid());
 
   // t2: rename(/a/e, /b/c/d/e), parked right after releasing the last common
@@ -331,7 +382,7 @@ TEST_F(ScenarioTest, RenameWithVictimHelpsReader) {
     EXPECT_TRUE(attr.ok());
   });
   gate_.Arm(reader.tid(), GateObserver::Point::kLockReleased, ino_src);
-  reader.Go();
+  StartOnLockedWalk(reader);
   gate_.WaitParked(reader.tid());
 
   EXPECT_TRUE(fs_->Rename("/src", "/victim").ok());
@@ -438,7 +489,9 @@ TEST_F(ScenarioTest, RollbackRelationHoldsMidFlight) {
 // refinement divergence (concrete success vs abstract ENOENT), and the
 // post-mortem bundle must reproduce the divergence offline.
 TEST_F(ScenarioTest, RcuStaleReadIsDetectedAndBundleReplays) {
-  BuildRcu(/*skip_validation=*/true);
+  AtomFs::Options opts;
+  opts.unsafe_skip_opt_validation = true;
+  Build({}, std::move(opts));
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
   ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
 
@@ -488,11 +541,12 @@ TEST_F(ScenarioTest, RcuStaleReadIsDetectedAndBundleReplays) {
 }
 
 // The same interleaving with validation on: the reader's recorded version
-// chain is invalidated by the rename, every retry misses the renamed /a, and
-// the locked fallback walk returns the correct post-rename ENOENT. The
-// monitor must stay clean.
-TEST_F(ScenarioTest, RcuValidationFailureFallsBackToLockedWalk) {
-  BuildRcu(/*skip_validation=*/false);
+// chain is invalidated by the rename, so its first attempt fails; the retry
+// misses the renamed /a in the root, and that miss validates under the
+// root's lock, deciding the correct post-rename ENOENT without the locked
+// walk. The monitor must stay clean.
+TEST_F(ScenarioTest, RcuValidationFailureRetriesIntoAValidatedMiss) {
+  Build();
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
   ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
 
@@ -506,13 +560,57 @@ TEST_F(ScenarioTest, RcuValidationFailureFallsBackToLockedWalk) {
 
   ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
   EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
-  // Attempt 0 fails validation (the root's version moved); both retries fail
-  // resolution (/a is gone); then the op falls back. 1 + rcu_walk_max_retries
-  // attempts, all failed, one fallback, nothing unvalidated.
+  // Attempt 0 fails validation (the root's version moved); attempt 1 is a
+  // validated miss, counted as a pass. No fallback, nothing unvalidated.
   const MetricsSnapshot snap = registry_->Snapshot();
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts"), 3u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.validation_failures"), 3u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.fallbacks"), 1u);
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts"), 2u);
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.validation_failures"), 1u);
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.fallbacks"), 0u);
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
+}
+
+// A stat miss must not validate while an insert of the missing name is in
+// flight. The reader misses x in /d and parks before locking /d; a Mknod of
+// /d/x then parks inside its version window on /d (version odd, /d locked).
+// Once both resume, the reader's lock of /d waits for the insert, its
+// recorded version of /d no longer matches, and the attempt fails; the
+// retry finds x. Deciding ENOENT here would put the stat's LP after the
+// mknod's with a result only a stat before it could return.
+TEST_F(ScenarioTest, RcuMissDoesNotValidateAcrossAnInsertWindow) {
+  ParkingExecutor executor;
+  AtomFs::Options opts;
+  opts.executor = &executor;
+  opts.costs.lookup_ns = 1;       // charged after every lookup (no other cost is 1 or 2)
+  opts.costs.lookup_probe_ns = 0;
+  opts.costs.dir_insert_ns = 2;   // charged inside Insert's version window
+  Build({}, std::move(opts));
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  const uint64_t attempts_before = CounterValue("core.rcuwalk.attempts");
+
+  OpThread reader([&] {
+    auto attr = fs_->Stat("/d/x");
+    EXPECT_TRUE(attr.ok()) << ErrcName(attr.status().code());
+  });
+  executor.Arm(reader.tid(), /*cost_ns=*/1, /*nth=*/2);  // after the lookup of x in /d
+  reader.Go();
+  executor.WaitParked(reader.tid());
+
+  OpThread writer([&] { EXPECT_TRUE(fs_->Mknod("/d/x").ok()); });
+  executor.Arm(writer.tid(), /*cost_ns=*/2);
+  writer.Go();
+  executor.WaitParked(writer.tid());
+
+  executor.Open(reader.tid());
+  executor.Open(writer.tid());
+  writer.Join();
+  reader.Join();
+
+  ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
+  EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
+  const MetricsSnapshot snap = registry_->Snapshot();
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts") - attempts_before, 2u);
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.validation_failures"), 1u);
+  EXPECT_EQ(snap.CounterValue("core.rcuwalk.fallbacks"), 0u);
   EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
 }
 
@@ -522,7 +620,7 @@ TEST_F(ScenarioTest, RcuValidationFailureFallsBackToLockedWalk) {
 // validate through the held /a: every attempt fails and the locked fallback
 // waits behind the holder.
 TEST_F(ScenarioTest, RcuValidationRefusesAHeldAncestor) {
-  BuildRcu(/*skip_validation=*/false);
+  Build();
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
   ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
   const Inum a = InoOf("/a");

@@ -163,16 +163,16 @@ TEST(CrossShardGhost, ComputeHelpOrderJoinsFootprintThreadsAsCrossShard) {
 
 // --- ShardedFs basics -------------------------------------------------------
 
+// RCU-walk is on in every AtomFs with inode locks, so both the plain and
+// the sharded stack advertise it; only the sharded one adds sharding.
 TEST(ShardedFsBasics, CapabilitiesAdvertiseSharding) {
   ShardedFs fs;
   EXPECT_NE(fs.Capabilities() & kFsCapSharding, 0u);
-  EXPECT_EQ(fs.Capabilities() & kFsCapRcuWalk, 0u);
+  EXPECT_NE(fs.Capabilities() & kFsCapRcuWalk, 0u);
 
-  ShardedFs::Options o;
-  o.fs.enable_rcu_walk = true;
-  ShardedFs rcu(std::move(o));
-  EXPECT_NE(rcu.Capabilities() & kFsCapSharding, 0u);
-  EXPECT_NE(rcu.Capabilities() & kFsCapRcuWalk, 0u);
+  AtomFs plain;
+  EXPECT_EQ(plain.Capabilities() & kFsCapSharding, 0u);
+  EXPECT_NE(plain.Capabilities() & kFsCapRcuWalk, 0u);
 }
 
 TEST(ShardedFsBasics, RootViewMergesTheShardRoots) {

@@ -43,11 +43,13 @@ echo "--- pipelined serving stage (64 connections x 8 in flight, monitored) ---"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^pipeline_smoke$'
 
 echo "--- rcu-walk smoke stage (optimistic read path, validation gate) ---"
-# bench_server_throughput --rcu-smoke: a short paired-slice run of the
-# lock-coupled walk against the optimistic (RCU) walk over the real wire.
-# Fails unless the optimistic path actually engaged (attempts > 0) and every
-# optimistic read was version-validated (core.rcuwalk.unvalidated_reads == 0
-# — the unsafe skip-validation hook must never be live outside tests).
+# bench_server_throughput --rcu-smoke: a short traced fileserver run of the
+# default atomfs stack (RCU-walk always on) over the real wire. Fails unless
+# the optimistic path actually engaged (attempts > 0), every optimistic read
+# was version-validated (core.rcuwalk.unvalidated_reads == 0 — the unsafe
+# skip-validation hook must never be live outside tests) and the counters
+# account for every read (attempts - validation_failures + fallbacks ==
+# reads).
 "$BUILD_DIR/bench/bench_server_throughput" --rcu-smoke --clients 2 --ops 150
 
 echo "--- sharded-namespace stage (4 shards, cross-shard migrations, monitored) ---"
