@@ -258,7 +258,17 @@ Status ClientSession::ReadOneReplyLocked() {
       }
     }
     const std::span<std::byte> room = rbuf_.Room(need - unread.size());
-    const ssize_t n = recv(sock_, room.data(), room.size(), 0);
+    // Poll before parking (see Future::Wait): a reply that lands within
+    // kPollBeforeParkNs is taken without a sleep and a wakeup.
+    ssize_t n = recv(sock_, room.data(), room.size(), MSG_DONTWAIT);
+    auto would_block = [&] { return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK); };
+    if (would_block() && !PollBeforePark(NowNs(), [&] {
+          n = recv(sock_, room.data(), room.size(), MSG_DONTWAIT);
+          return !would_block();
+        })) {
+      ++parks_;
+      n = recv(sock_, room.data(), room.size(), 0);
+    }
     if (n < 0 && errno == EINTR) {
       continue;
     }

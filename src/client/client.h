@@ -68,6 +68,15 @@ class ClientSession {
   // session. The session destructor resolves every still-pending request
   // with kIo, so Wait() on a future that outlived its session is safe —
   // only Wait() racing the destructor itself is not.
+  //
+  // When no whole reply is buffered, Wait() polls the socket without
+  // blocking, yielding its CPU between polls, for up to kPollBeforeParkNs
+  // (50 µs, the server loop's budget too; see PollBeforePark in
+  // src/net/wire.h), and only then parks in a blocking recv(2) (counted
+  // by parks()). A local server's depth-1 reply usually lands inside that
+  // budget, which saves the client a sleep and a wakeup per call. The
+  // price is CPU: every reply wait burns up to 50 µs of it before parking,
+  // also against a slow or remote server.
   class Future {
    public:
     Future() = default;
@@ -110,6 +119,9 @@ class ClientSession {
   uint32_t server_version() const { return server_version_; }
   // Capability bitmask (kFsCap*) from the v3 HELLO reply; 0 from a v2 server.
   uint32_t server_caps() const { return server_caps_; }
+  // Blocking receives entered so far: reply waits that outlasted the poll
+  // (see Future::Wait).
+  uint64_t parks() const { return parks_.load(); }
 
  private:
   explicit ClientSession(int sock) : sock_(sock) {}
@@ -135,6 +147,7 @@ class ClientSession {
   std::deque<std::shared_ptr<Pending>> outstanding_;  // on the wire, FIFO
   std::vector<std::byte> sendbuf_;  // frames of the flush being packed
   WireRecvBuffer rbuf_;             // received reply bytes, parsed in place
+  std::atomic<uint64_t> parks_{0};  // written under mu_, read by parks()
 };
 
 class AtomFsClient : public FileSystem {

@@ -40,6 +40,8 @@
 #ifndef ATOMFS_SRC_NET_WIRE_H_
 #define ATOMFS_SRC_NET_WIRE_H_
 
+#include <sched.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -49,6 +51,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/util/clock.h"
 #include "src/util/status.h"
 #include "src/vfs/filesystem.h"
 
@@ -304,6 +307,32 @@ class WireRecvBuffer {
   size_t pos_ = 0;  // first unread byte
   size_t len_ = 0;  // end of the received bytes
 };
+
+// --- waiting for the peer ----------------------------------------------------
+// Both ends of a depth-1 conversation wait a few microseconds for the other:
+// the server loop for the next request of the client it just answered, the
+// client for that reply. Blocking at once costs each side a sleep and a
+// wakeup per call, so a waiter first polls for kPollBeforeParkNs, yielding
+// its CPU between polls (to the peer, when both share a core), and only
+// then parks in its blocking call. The yield is the point: a busy spin
+// keeps the peer off the CPU and made p99 worse.
+
+inline constexpr uint64_t kPollBeforeParkNs = 50'000;
+
+// Calls the non-blocking `try_once` after a sched_yield() until it returns
+// true (progress) or kPollBeforeParkNs have passed since `since_ns`
+// (NowNs()). Returns whether `try_once` made progress; on false the caller
+// parks.
+template <typename TryOnce>
+bool PollBeforePark(uint64_t since_ns, TryOnce&& try_once) {
+  while (NowNs() - since_ns < kPollBeforeParkNs) {
+    sched_yield();
+    if (try_once()) {
+      return true;
+    }
+  }
+  return false;
+}
 
 // --- frame transport ---------------------------------------------------------
 // Blocking, whole-frame socket I/O. SendFrame uses MSG_NOSIGNAL so a dead

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -12,13 +11,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 
 #include "src/obs/export.h"
+#include "src/util/clock.h"
 #include "src/vfs/vfs.h"
 
 namespace atomfs {
@@ -29,16 +28,6 @@ namespace {
 // yielding to the shard's other connections (fairness under pipelined load).
 constexpr size_t kReadChunk = kWireBufferKeepBytes;
 constexpr size_t kMaxReadPerCycle = 256u << 10;
-
-// How long a loop keeps polling after a turn that handled events before it
-// parks in a blocking epoll_wait (see ShardLoop).
-constexpr uint64_t kPollBeforeParkNs = 50'000;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 uint64_t NowMs() { return NowNs() / 1'000'000; }
 
@@ -394,11 +383,11 @@ void AtomFsServer::ShardLoop(Shard& shard) {
     int n = epoll_wait(shard.epoll_fd, evs, 64, 0);
     bool parked = false;
     if (n == 0 && shard.runnable.empty()) {
-      while (n == 0 && NowNs() - last_work_ns < kPollBeforeParkNs) {
-        sched_yield();
+      const bool woke = PollBeforePark(last_work_ns, [&] {
         n = epoll_wait(shard.epoll_fd, evs, 64, 0);
-      }
-      if (n == 0) {
+        return n != 0;
+      });
+      if (!woke) {
         loop_parks_.Inc();
         parked = true;
         n = epoll_wait(shard.epoll_fd, evs, 64, timeout_ms);

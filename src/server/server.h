@@ -16,17 +16,23 @@
 // other readiness events, so a peer that ignores its window cannot
 // monopolise the loop. Replies leave in request order, and each
 // connection's Vfs is only ever touched by its loop.
-// A loop that has just handled events does not park at once: it polls its
-// epoll set without blocking, yielding its CPU between polls, until
-// kPollBeforeParkNs (50 µs) have passed since its last busy turn, and only
-// then blocks (server.loop.parks). A depth-1 client's next request usually
-// arrives inside that budget, so the loop saves the sleep, the wakeup and
-// the preemption by the client it just answered that parking at once cost
-// per request; the yield gives that client the CPU instead. The price is
-// CPU: a loop under closed-loop load is busy ~90% of a core instead of
-// ~70%, while an idle loop parks within 50 µs. Owed windows make a turn a
-// single non-blocking poll, Stop's eventfd ends the poll like any event, and
-// the idle sweep runs once per turn, not once per empty poll.
+// Both ends of a connection poll before they park, through one helper
+// (PollBeforePark in src/net/wire.h) and one budget, kPollBeforeParkNs
+// (50 µs), yielding the CPU between polls. A loop that has just handled
+// events polls its epoll set without blocking until 50 µs have passed since
+// its last busy turn, and only then blocks (server.loop.parks); a
+// ClientSession whose reply is not yet buffered polls its socket with
+// MSG_DONTWAIT for 50 µs before its blocking recv(2) (ClientSession::parks).
+// A depth-1 client's next request, and a local server's reply, usually
+// arrive inside that budget, so neither side pays the sleep and the wakeup
+// that parking at once cost per call, and the loop is not preempted by the
+// client it just answered; the yield gives the peer the CPU instead. The
+// price is CPU: a loop under closed-loop load is busy ~90% of a core
+// instead of ~70%, an idle loop parks within 50 µs, and a waiting client
+// burns up to 50 µs of CPU per reply, also against a slow or remote server.
+// Owed windows make a turn a single non-blocking poll, Stop's eventfd ends
+// the poll like any event, and the idle sweep runs once per turn, not once
+// per empty poll.
 // Linearizability comes from the file system's own lock coupling; the loop
 // adds no locking of its own. A long request holds up every other
 // connection of its shard: a journaled TXBEGIN or TXCOMMIT (mirror copy,

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "src/util/check.h"
+#include "src/util/clock.h"
 
 namespace atomfs {
 namespace {
@@ -37,11 +38,7 @@ class RealExecutor : public Executor {
     (void)cost_ns;
   }
 
-  uint64_t NowNanos() override {
-    return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                     std::chrono::steady_clock::now().time_since_epoch())
-                                     .count());
-  }
+  uint64_t NowNanos() override { return NowNs(); }
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "src/txn/txn.h"
 
-#include <chrono>
 #include <utility>
 
 #include "src/util/check.h"
+#include "src/util/clock.h"
 #include "src/util/tid.h"
 #include "src/workload/trace.h"
 
@@ -15,12 +15,6 @@ namespace {
 // journaled and replayed.
 bool IsMutation(OpKind kind) {
   return kind != OpKind::kStat && kind != OpKind::kReadDir && kind != OpKind::kRead;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
 }
 
 // "/", "/a", "/a/b" for "/a/b" — every subtree a path is inside of.

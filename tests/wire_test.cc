@@ -9,9 +9,11 @@
 #include "src/net/wire.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <functional>
 #include <thread>
 
@@ -779,6 +781,53 @@ TEST_F(ScriptedPeerTest, SeededRandomChunkingOf200RepliesIsByteIdentical) {
     ASSERT_TRUE(body.ok()) << "reply " << i;
     ASSERT_EQ(*body, ReplyBody(i, kBig)) << "reply " << i;
   }
+}
+
+// CPU time the calling thread has used so far.
+std::chrono::microseconds ThreadCpuTime() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return std::chrono::seconds(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         std::chrono::microseconds(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+TEST_F(ScriptedPeerTest, SlowReplyParksTheClientAfterPolling) {
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd), 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    std::vector<std::byte> reply;
+    AppendReply(reply, ReplyBody(5, 0));
+    EXPECT_TRUE(SendRaw(fd, reply));
+  });
+  const uint64_t parks_before = session_->parks();
+  const auto cpu_before = ThreadCpuTime();
+  auto futures = SubmitPings(1);
+  ASSERT_TRUE(session_->Flush().ok());
+  auto body = futures[0].Wait();
+  const auto cpu = ThreadCpuTime() - cpu_before;
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(*body, ReplyBody(5, 0));
+  // The wait polled for its 50 µs budget, then slept in one blocking recv
+  // instead of spinning through the peer's 300 ms.
+  EXPECT_EQ(session_->parks() - parks_before, 1u);
+  EXPECT_LT(cpu, std::chrono::milliseconds(30));
+}
+
+TEST_F(ScriptedPeerTest, BufferedReplyNeverParks) {
+  Peer([&](int fd) {
+    ASSERT_EQ(ReadFrameUnits(fd), 1u);
+    std::vector<std::byte> reply;
+    AppendReply(reply, ReplyBody(6, 0));
+    EXPECT_TRUE(SendRaw(fd, reply));
+  });
+  const uint64_t parks_before = session_->parks();
+  auto futures = SubmitPings(1);
+  ASSERT_TRUE(session_->Flush().ok());
+  script_.join();  // the whole reply now sits in the client's socket buffer
+  auto body = futures[0].Wait();
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(*body, ReplyBody(6, 0));
+  EXPECT_EQ(session_->parks(), parks_before);
 }
 
 TEST_F(ScriptedPeerTest, OversizedDeclaredLengthFailsEveryFutureWithProto) {
