@@ -58,8 +58,10 @@ class BigLockFs : public FileSystem {
   SpecFs SnapshotSpec() const { return inner_.SnapshotSpec(); }
 
  private:
-  template <typename Fn>
-  auto Locked(const OpCall& call, Fn&& fn);
+  // Runs `fn` under the big lock. `make_call()` builds the OpCall, and is
+  // called only when an observer is attached.
+  template <typename MakeCall, typename Fn>
+  auto Locked(MakeCall&& make_call, Fn&& fn);
 
   FsObserver* observer_;
   std::unique_ptr<Lockable> big_lock_;

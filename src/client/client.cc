@@ -259,15 +259,25 @@ Status ClientSession::ReadOneReplyLocked() {
     }
     const std::span<std::byte> room = rbuf_.Room(need - unread.size());
     // Poll before parking (see Future::Wait): a reply that lands within
-    // kPollBeforeParkNs is taken without a sleep and a wakeup.
+    // kPollBeforeParkNs is taken without a sleep and a wakeup. A wait that
+    // outlasted the budget, polled or parked, says polling would only burn
+    // CPU, so the next wait parks at once until one ends within the budget.
     ssize_t n = recv(sock_, room.data(), room.size(), MSG_DONTWAIT);
     auto would_block = [&] { return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK); };
-    if (would_block() && !PollBeforePark(NowNs(), [&] {
-          n = recv(sock_, room.data(), room.size(), MSG_DONTWAIT);
-          return !would_block();
-        })) {
-      ++parks_;
-      n = recv(sock_, room.data(), room.size(), 0);
+    if (would_block()) {
+      const uint64_t wait_start = NowNs();
+      const bool poll = !park_at_once_;
+      if (poll) {
+        ++polls_;
+      }
+      if (!poll || !PollBeforePark(wait_start, [&] {
+            n = recv(sock_, room.data(), room.size(), MSG_DONTWAIT);
+            return !would_block();
+          })) {
+        ++parks_;
+        n = recv(sock_, room.data(), room.size(), 0);
+      }
+      park_at_once_ = NowNs() - wait_start >= kPollBeforeParkNs;
     }
     if (n < 0 && errno == EINTR) {
       continue;

@@ -75,8 +75,9 @@ class ClientSession {
   // src/net/wire.h), and only then parks in a blocking recv(2) (counted
   // by parks()). A local server's depth-1 reply usually lands inside that
   // budget, which saves the client a sleep and a wakeup per call. The
-  // price is CPU: every reply wait burns up to 50 µs of it before parking,
-  // also against a slow or remote server.
+  // price is CPU, so a session whose last wait outlasted the budget (a
+  // slow, remote or CPU-starved server) parks at once, without polling
+  // (counted by polls()), until a wait ends within the budget again.
   class Future {
    public:
     Future() = default;
@@ -120,8 +121,10 @@ class ClientSession {
   // Capability bitmask (kFsCap*) from the v3 HELLO reply; 0 from a v2 server.
   uint32_t server_caps() const { return server_caps_; }
   // Blocking receives entered so far: reply waits that outlasted the poll
-  // (see Future::Wait).
+  // or skipped it (see Future::Wait).
   uint64_t parks() const { return parks_.load(); }
+  // Reply waits that polled before taking the reply or parking.
+  uint64_t polls() const { return polls_.load(); }
 
  private:
   explicit ClientSession(int sock) : sock_(sock) {}
@@ -148,6 +151,8 @@ class ClientSession {
   std::vector<std::byte> sendbuf_;  // frames of the flush being packed
   WireRecvBuffer rbuf_;             // received reply bytes, parsed in place
   std::atomic<uint64_t> parks_{0};  // written under mu_, read by parks()
+  std::atomic<uint64_t> polls_{0};  // written under mu_, read by polls()
+  bool park_at_once_ = false;       // the last wait outlasted the poll budget
 };
 
 class AtomFsClient : public FileSystem {

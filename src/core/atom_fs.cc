@@ -45,35 +45,41 @@ AtomFs::~AtomFs() {
 }
 
 // --- Observation plumbing ---------------------------------------------------
+//
+// An op's OpCall and OpResult are built only for an attached observer, so
+// an unobserved op copies no path, write payload, read bytes or entries.
 
-void AtomFs::ObserveBegin(const OpCall& call) {
+template <typename MakeCall>
+void AtomFs::ObserveBegin(MakeCall&& make_call) {
   opts_.executor->Work(opts_.costs.op_base_ns);
   if (opts_.observer != nullptr) {
-    opts_.observer->OnOpBegin(CurrentTid(), call);
+    opts_.observer->OnOpBegin(CurrentTid(), make_call());
   }
 }
 
-void AtomFs::ObserveEnd(const OpResult& result) {
+template <typename MakeResult>
+void AtomFs::ObserveEnd(MakeResult&& make_result) {
   // Every op ends here with no lock held, so this is where what earlier
   // unlinks retired gets freed, never under a hot directory lock.
   reclaimer_.ScanIfDue();
   if (opts_.observer != nullptr) {
-    opts_.observer->OnOpEnd(CurrentTid(), result);
+    opts_.observer->OnOpEnd(CurrentTid(), make_result());
   }
+}
+
+Status AtomFs::EndWith(Status st) {
+  ObserveEnd([st] {
+    OpResult r;
+    r.status = st;
+    return r;
+  });
+  return st;
 }
 
 void AtomFs::ObserveLp(Inum created) {
   if (opts_.observer != nullptr) {
     opts_.observer->OnLp(CurrentTid(), created);
   }
-}
-
-Status AtomFs::FailOp(Errc code) {
-  ObserveLp();
-  OpResult r;
-  r.status = Status(code);
-  ObserveEnd(r);
-  return Status(code);
 }
 
 void AtomFs::LockInode(Inode* node, LockPathRole role) {
@@ -124,6 +130,14 @@ std::unique_ptr<Inode> AtomFs::NewInode(FileType type) {
   inode_count_.fetch_add(1, std::memory_order_relaxed);
   return std::make_unique<Inode>(next_inum_.fetch_add(1, std::memory_order_relaxed), type,
                                  opts_.executor->CreateLock(), reclaimer_);
+}
+
+void AtomFs::FreeUnlinked(std::unique_ptr<Inode> node) {
+  inode_count_.fetch_sub(1, std::memory_order_relaxed);
+  // Hand the inum back unless a later NewInode took the next one, so a
+  // failed create leaves no gap in the numbers one thread sees.
+  Inum next = node->ino + 1;
+  next_inum_.compare_exchange_strong(next, node->ino, std::memory_order_relaxed);
 }
 
 void AtomFs::DisposeInode(std::unique_ptr<Inode> node) {
@@ -244,16 +258,24 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
   if (opts_.observer != nullptr) {
     opts_.observer->OnOptWalkStart(CurrentTid());
   }
+  // The (node, version) chain lives on the stack; only a path deeper than
+  // kInlineChain components spills it to the heap.
   struct Rec {
     Inode* node;
     uint64_t version;
   };
-  std::vector<Rec> chain;
-  chain.reserve(path.parts.size() + 1);
+  constexpr size_t kInlineChain = 16;
+  Rec inline_chain[kInlineChain];
+  std::unique_ptr<Rec[]> spilled;
+  Rec* chain = inline_chain;
+  if (path.parts.size() + 1 > kInlineChain) {
+    spilled = std::make_unique<Rec[]>(path.parts.size() + 1);
+    chain = spilled.get();
+  }
+  uint32_t depth = 0;
   auto fail = [&]() -> Inode* {
     if (opts_.observer != nullptr) {
-      opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kFail,
-                                        static_cast<uint32_t>(chain.size()));
+      opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kFail, depth);
     }
     return nullptr;
   };
@@ -264,7 +286,7 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
     if ((v & 1) != 0) {
       return fail();  // mutation in flight on this node
     }
-    chain.push_back({cur, v});
+    chain[depth++] = {cur, v};
     if (cur->type != FileType::kDir) {
       // Only the locked walk may decide ENOTDIR: what we saw may be a
       // transient state of a concurrent mutation.
@@ -283,7 +305,7 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
     if ((tv & 1) != 0) {
       return fail();
     }
-    chain.push_back({cur, tv});
+    chain[depth++] = {cur, tv};
   }
   // The only lock of the whole walk: the target's or, after a miss, that of
   // the directory that missed, where the locked walk would decide ENOENT.
@@ -300,14 +322,13 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
   };
   if (opts_.unsafe_skip_opt_validation) {
     if (opts_.observer != nullptr) {
-      opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kSkipped,
-                                        static_cast<uint32_t>(chain.size()));
+      opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kSkipped, depth);
     }
     ObserveLp();
     return decided();
   }
-  auto chain_current = [&chain, cur] {
-    return std::all_of(chain.begin(), chain.end(), [cur](const Rec& r) {
+  auto chain_current = [chain, depth, cur] {
+    return std::all_of(chain, chain + depth, [cur](const Rec& r) {
       return r.node->version.load(std::memory_order_acquire) == r.version &&
              (r.node == cur || !r.node->held.load(std::memory_order_acquire));
     });
@@ -322,8 +343,7 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
   if (opts_.observer == nullptr) {
     return decided();
   }
-  opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kPass,
-                                    static_cast<uint32_t>(chain.size()));
+  opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kPass, depth);
   // The read linearizes at the validation above, but an observer records
   // that LP only now; a mutation of the chain may have recorded its own LP
   // in between. Every mutation bumps its versions before its LP, so a chain
@@ -371,17 +391,25 @@ Status AtomFs::Unlink(const Path& path) { return Delete(path, FileType::kFile); 
 
 Status AtomFs::Insert(const Path& path, FileType type) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(type == FileType::kDir ? OpCall::MkdirOf(path) : OpCall::MknodOf(path));
-  auto finish = [this](Status st) {
-    OpResult r;
-    r.status = st;
-    ObserveEnd(r);
-    return st;
-  };
+  ObserveBegin([&] {
+    return type == FileType::kDir ? OpCall::MkdirOf(path) : OpCall::MknodOf(path);
+  });
   if (path.IsRoot()) {
     ObserveLp();
-    return finish(Status(Errc::kExist));
+    return EndWith(Status(Errc::kExist));
   }
+  // The inode and its entry shell are built before the parent is locked, so
+  // the directory lock covers only the link (docs/CONCURRENCY.md §4). No
+  // reader can reach them before the link: a failed create frees them here.
+  std::unique_ptr<Inode> fresh = NewInode(type);
+  const Inum created = fresh->ino;
+  DirTable::Shell shell = DirTable::NewShell(path.Base(), std::move(fresh));
+  auto finish = [&](Status st) {
+    if (!st.ok()) {
+      FreeUnlinked(shell.TakeChild());
+    }
+    return EndWith(st);
+  };
   auto parent = TraverseLocked(path.parts, path.parts.size() - 1, LockPathRole::kSingle);
   if (!parent.ok()) {
     return finish(parent.status());  // failure LP already emitted
@@ -402,11 +430,9 @@ Status AtomFs::Insert(const Path& path, FileType type) {
     UnlockInode(dir);
     return finish(Status(Errc::kNoSpace));
   }
-  std::unique_ptr<Inode> node = NewInode(type);
-  const Inum created = node->ino;
   VersionBumpOpen(dir);
   opts_.executor->Work(opts_.costs.dir_insert_ns);
-  ATOMFS_CHECK(dir->dir.Insert(path.Base(), std::move(node)));
+  ATOMFS_CHECK(dir->dir.Link(shell));
   VersionBumpClose(dir);
   ObserveLp(created);
   UnlockInode(dir);
@@ -415,32 +441,28 @@ Status AtomFs::Insert(const Path& path, FileType type) {
 
 Status AtomFs::Delete(const Path& path, FileType type) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(type == FileType::kDir ? OpCall::RmdirOf(path) : OpCall::UnlinkOf(path));
-  auto finish = [this](Status st) {
-    OpResult r;
-    r.status = st;
-    ObserveEnd(r);
-    return st;
-  };
+  ObserveBegin([&] {
+    return type == FileType::kDir ? OpCall::RmdirOf(path) : OpCall::UnlinkOf(path);
+  });
   if (path.IsRoot()) {
     ObserveLp();
-    return finish(Status(type == FileType::kDir ? Errc::kBusy : Errc::kIsDir));
+    return EndWith(Status(type == FileType::kDir ? Errc::kBusy : Errc::kIsDir));
   }
   auto parent = TraverseLocked(path.parts, path.parts.size() - 1, LockPathRole::kSingle);
   if (!parent.ok()) {
-    return finish(parent.status());
+    return EndWith(parent.status());
   }
   Inode* dir = *parent;
   if (dir->type != FileType::kDir) {
     ObserveLp();
     UnlockInode(dir);
-    return finish(Status(Errc::kNotDir));
+    return EndWith(Status(Errc::kNotDir));
   }
   Inode* child = LookupCharged(dir, path.Base());
   if (child == nullptr) {
     ObserveLp();
     UnlockInode(dir);
-    return finish(Status(Errc::kNoEnt));
+    return EndWith(Status(Errc::kNoEnt));
   }
   LockInode(child, LockPathRole::kSingle);
   Errc err = Errc::kOk;
@@ -459,13 +481,13 @@ Status AtomFs::Delete(const Path& path, FileType type) {
     ObserveLp();
     UnlockInode(child);
     UnlockInode(dir);
-    return finish(Status(err));
+    return EndWith(Status(err));
   }
   VersionBumpOpen(dir);
   opts_.executor->Work(opts_.costs.dir_remove_ns);
-  std::unique_ptr<Inode> owned = dir->dir.Remove(path.Base());
+  DirTable::Shell unlinked = dir->dir.Unlink(path.Base());
   VersionBumpClose(dir);
-  ATOMFS_CHECK(owned != nullptr);
+  ATOMFS_CHECK(unlinked);
   // The removed node's own version also moves, so a reader that still
   // reaches it (through a retired chain shell) cannot validate against a
   // pre-removal recording.
@@ -473,30 +495,25 @@ Status AtomFs::Delete(const Path& path, FileType type) {
   ObserveLp();
   UnlockInode(child);
   UnlockInode(dir);
-  DisposeInode(std::move(owned));
-  return finish(Status::Ok());
+  DisposeInode(unlinked.TakeChild());
+  std::move(unlinked).Retire(reclaimer_);
+  return EndWith(Status::Ok());
 }
 
 // --- rename -----------------------------------------------------------------
 
 Status AtomFs::Rename(const Path& src, const Path& dst) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::RenameOf(src, dst));
-  auto finish = [this](Status st) {
-    OpResult r;
-    r.status = st;
-    ObserveEnd(r);
-    return st;
-  };
+  ObserveBegin([&] { return OpCall::RenameOf(src, dst); });
 
   // Lexical prechecks, in the same order as the abstract specification.
   if (src.IsRoot() || dst.IsRoot()) {
     ObserveLp();
-    return finish(Status(Errc::kBusy));
+    return EndWith(Status(Errc::kBusy));
   }
   if (src.IsPrefixOf(dst) && src != dst) {
     ObserveLp();
-    return finish(Status(Errc::kInval));
+    return EndWith(Status(Errc::kInval));
   }
   // dst strictly above src: the destination inode, if everything resolves,
   // is an ancestor directory of the source parent. We must not lock an
@@ -513,14 +530,14 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
   auto fail_all = [&](Errc code) {
     ObserveLp();
     UnlockAll(held);
-    return finish(Status(code));
+    return EndWith(Status(code));
   };
 
   // Phase 1: lock-coupled traversal of the common prefix of the two parent
   // paths, charged to both ghost LockPaths.
   auto lca = TraverseLocked(sparent.parts, common, LockPathRole::kRenameCommon);
   if (!lca.ok()) {
-    return finish(lca.status());
+    return EndWith(lca.status());
   }
   Inode* base = *lca;
   held.push_back(base);
@@ -581,7 +598,7 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
   if (src == dst) {
     ObserveLp();
     UnlockAll(held);
-    return finish(Status::Ok());
+    return EndWith(Status::Ok());
   }
   if (dst_above_src) {
     // See above: destination resolves to a directory on src's own path.
@@ -611,17 +628,18 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
   if (ddir != sdir) {
     VersionBumpOpen(ddir);
   }
-  std::unique_ptr<Inode> displaced;
+  // Unlinked shells are retired after the unlock.
+  DirTable::Shell displaced;
   if (dnode != nullptr) {
     opts_.executor->Work(opts_.costs.dir_remove_ns);
-    displaced = ddir->dir.Remove(dst.Base());
-    ATOMFS_CHECK(displaced != nullptr);
+    displaced = ddir->dir.Unlink(dst.Base());
+    ATOMFS_CHECK(displaced);
   }
   opts_.executor->Work(opts_.costs.dir_remove_ns);
-  std::unique_ptr<Inode> moving = sdir->dir.Remove(src.Base());
-  ATOMFS_CHECK(moving != nullptr);
+  DirTable::Shell moved = sdir->dir.Unlink(src.Base());
+  ATOMFS_CHECK(moved);
   opts_.executor->Work(opts_.costs.dir_insert_ns);
-  ATOMFS_CHECK(ddir->dir.Insert(dst.Base(), std::move(moving)));
+  ATOMFS_CHECK(ddir->dir.Insert(dst.Base(), moved.TakeChild()));
   VersionTick(snode);  // the moved node's identity-path changed (lock held)
   if (dnode != nullptr) {
     VersionTick(dnode);  // the displaced node left the namespace (lock held)
@@ -635,30 +653,26 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
   // the rename's own abstract operation executes.
   ObserveLp();
   UnlockAll(held);
-  if (displaced != nullptr) {
-    DisposeInode(std::move(displaced));
+  std::move(moved).Retire(reclaimer_);
+  if (displaced) {
+    DisposeInode(displaced.TakeChild());
+    std::move(displaced).Retire(reclaimer_);
   }
-  return finish(Status::Ok());
+  return EndWith(Status::Ok());
 }
 
 Status AtomFs::Exchange(const Path& a, const Path& b) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::ExchangeOf(a, b));
-  auto finish = [this](Status st) {
-    OpResult r;
-    r.status = st;
-    ObserveEnd(r);
-    return st;
-  };
+  ObserveBegin([&] { return OpCall::ExchangeOf(a, b); });
 
   // Lexical prechecks, in the same order as the abstract specification.
   if (a.IsRoot() || b.IsRoot()) {
     ObserveLp();
-    return finish(Status(Errc::kBusy));
+    return EndWith(Status(Errc::kBusy));
   }
   if ((a.IsPrefixOf(b) || b.IsPrefixOf(a)) && a != b) {
     ObserveLp();
-    return finish(Status(Errc::kInval));
+    return EndWith(Status(Errc::kInval));
   }
 
   const Path aparent = a.Dir();
@@ -669,7 +683,7 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
   auto fail_all = [&](Errc code) {
     ObserveLp();
     UnlockAll(held);
-    return finish(Status(code));
+    return EndWith(Status(code));
   };
 
   // Same locking discipline as rename: lock-coupled common prefix, then both
@@ -678,7 +692,7 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
   // helper treats *both* as breaking paths for an exchange.
   auto lca = TraverseLocked(aparent.parts, common, LockPathRole::kRenameCommon);
   if (!lca.ok()) {
-    return finish(lca.status());
+    return EndWith(lca.status());
   }
   Inode* base = *lca;
   held.push_back(base);
@@ -732,7 +746,7 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
   if (a == b) {
     ObserveLp();
     UnlockAll(held);
-    return finish(Status::Ok());
+    return EndWith(Status::Ok());
   }
   Inode* bnode = LookupCharged(bdir, b.Base());
   if (bnode == nullptr) {
@@ -751,11 +765,12 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
   if (bdir != adir) {
     VersionBumpOpen(bdir);
   }
-  std::unique_ptr<Inode> owned_a = adir->dir.Remove(a.Base());
-  std::unique_ptr<Inode> owned_b = bdir->dir.Remove(b.Base());
-  ATOMFS_CHECK(owned_a != nullptr && owned_b != nullptr);
-  ATOMFS_CHECK(adir->dir.Insert(a.Base(), std::move(owned_b)));
-  ATOMFS_CHECK(bdir->dir.Insert(b.Base(), std::move(owned_a)));
+  // Unlinked shells are retired after the unlock.
+  DirTable::Shell shell_a = adir->dir.Unlink(a.Base());
+  DirTable::Shell shell_b = bdir->dir.Unlink(b.Base());
+  ATOMFS_CHECK(shell_a && shell_b);
+  ATOMFS_CHECK(adir->dir.Insert(a.Base(), shell_b.TakeChild()));
+  ATOMFS_CHECK(bdir->dir.Insert(b.Base(), shell_a.TakeChild()));
   VersionTick(anode);  // both swapped nodes sit on new identity-paths
   VersionTick(bnode);
   if (bdir != adir) {
@@ -766,21 +781,20 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
   // The exchange LP: like rename, the helper runs here first.
   ObserveLp();
   UnlockAll(held);
-  return finish(Status::Ok());
+  std::move(shell_a).Retire(reclaimer_);
+  std::move(shell_b).Retire(reclaimer_);
+  return EndWith(Status::Ok());
 }
 
 // --- read-side and data operations -------------------------------------------
 
 Result<Attr> AtomFs::Stat(const Path& path) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::StatOf(path));
+  ObserveBegin([&] { return OpCall::StatOf(path); });
   bool linearized = false;  // an optimistic read's LP is its validation
   auto target = ResolveReadTarget(path, &linearized);
   if (!target.ok()) {
-    OpResult r;
-    r.status = target.status();
-    ObserveEnd(r);
-    return target.status();
+    return EndWith(target.status());
   }
   Inode* node = *target;
   opts_.executor->Work(opts_.costs.stat_ns);
@@ -792,22 +806,21 @@ Result<Attr> AtomFs::Stat(const Path& path) {
     ObserveLp();
   }
   UnlockInode(node);
-  OpResult r;
-  r.attr = attr;
-  ObserveEnd(r);
+  ObserveEnd([&] {
+    OpResult r;
+    r.attr = attr;
+    return r;
+  });
   return attr;
 }
 
 Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::ReadDirOf(path));
+  ObserveBegin([&] { return OpCall::ReadDirOf(path); });
   bool linearized = false;  // an optimistic read's LP is its validation
   auto target = ResolveReadTarget(path, &linearized);
   if (!target.ok()) {
-    OpResult r;
-    r.status = target.status();
-    ObserveEnd(r);
-    return target.status();
+    return EndWith(target.status());
   }
   Inode* node = *target;
   if (node->type != FileType::kDir) {
@@ -815,10 +828,7 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
       ObserveLp();
     }
     UnlockInode(node);
-    OpResult r;
-    r.status = Status(Errc::kNotDir);
-    ObserveEnd(r);
-    return Errc::kNotDir;
+    return EndWith(Status(Errc::kNotDir));
   }
   std::vector<DirEntry> entries;
   entries.reserve(node->dir.size());
@@ -826,28 +836,28 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
     entries.push_back(DirEntry{name, child->ino, child->type});
   });
   opts_.executor->Work(opts_.costs.readdir_entry_ns * (entries.size() + 1));
-  std::sort(entries.begin(), entries.end(),
-            [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
   if (!linearized) {
     ObserveLp();
   }
   UnlockInode(node);
-  OpResult r;
-  r.entries = entries;
-  ObserveEnd(r);
+  // The copy is this op's own, so it is sorted outside the lock.
+  std::sort(entries.begin(), entries.end(),
+            [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
+  ObserveEnd([&] {
+    OpResult r;
+    r.entries = entries;
+    return r;
+  });
   return entries;
 }
 
 Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::byte> out) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::ReadOf(path, offset, out.size()));
+  ObserveBegin([&] { return OpCall::ReadOf(path, offset, out.size()); });
   bool linearized = false;  // an optimistic read's LP is its validation
   auto target = ResolveReadTarget(path, &linearized);
   if (!target.ok()) {
-    OpResult r;
-    r.status = target.status();
-    ObserveEnd(r);
-    return target.status();
+    return EndWith(target.status());
   }
   Inode* node = *target;
   if (node->type != FileType::kFile) {
@@ -855,10 +865,7 @@ Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::by
       ObserveLp();
     }
     UnlockInode(node);
-    OpResult r;
-    r.status = Status(Errc::kIsDir);
-    ObserveEnd(r);
-    return Errc::kIsDir;
+    return EndWith(Status(Errc::kIsDir));
   }
   const size_t n = node->data.Read(offset, out);
   opts_.executor->Work(opts_.costs.block_copy_ns * (FileData::BlocksSpanned(offset, n) + 1));
@@ -866,74 +873,65 @@ Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::by
     ObserveLp();
   }
   UnlockInode(node);
-  OpResult r;
-  r.nbytes = n;
-  r.data.assign(out.begin(), out.begin() + static_cast<ptrdiff_t>(n));
-  ObserveEnd(r);
+  ObserveEnd([&] {
+    OpResult r;
+    r.nbytes = n;
+    r.data.assign(out.begin(), out.begin() + static_cast<ptrdiff_t>(n));
+    return r;
+  });
   return n;
 }
 
 Result<size_t> AtomFs::Write(const Path& path, uint64_t offset,
                              std::span<const std::byte> data) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end())));
+  ObserveBegin([&] {
+    return OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end()));
+  });
   auto target = ResolveTargetLocked(path);
   if (!target.ok()) {
-    OpResult r;
-    r.status = target.status();
-    ObserveEnd(r);
-    return target.status();
+    return EndWith(target.status());
   }
   Inode* node = *target;
   if (node->type != FileType::kFile) {
     ObserveLp();
     UnlockInode(node);
-    OpResult r;
-    r.status = Status(Errc::kIsDir);
-    ObserveEnd(r);
-    return Errc::kIsDir;
+    return EndWith(Status(Errc::kIsDir));
   }
   auto written = node->data.Write(offset, data);
   opts_.executor->Work(opts_.costs.block_copy_ns *
                        (FileData::BlocksSpanned(offset, data.size()) + 1));
   ObserveLp();
   UnlockInode(node);
-  OpResult r;
-  r.status = written.status();
-  if (written.ok()) {
-    r.nbytes = *written;
-  }
-  ObserveEnd(r);
-  if (!written.ok()) {
-    return written.status();
-  }
-  return *written;
+  ObserveEnd([&] {
+    OpResult r;
+    r.status = written.status();
+    if (written.ok()) {
+      r.nbytes = *written;
+    }
+    return r;
+  });
+  return written;
 }
 
 Status AtomFs::Truncate(const Path& path, uint64_t size) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
-  ObserveBegin(OpCall::TruncateOf(path, size));
-  auto finish = [this](Status st) {
-    OpResult r;
-    r.status = st;
-    ObserveEnd(r);
-    return st;
-  };
+  ObserveBegin([&] { return OpCall::TruncateOf(path, size); });
   auto target = ResolveTargetLocked(path);
   if (!target.ok()) {
-    return finish(target.status());
+    return EndWith(target.status());
   }
   Inode* node = *target;
   if (node->type != FileType::kFile) {
     ObserveLp();
     UnlockInode(node);
-    return finish(Status(Errc::kIsDir));
+    return EndWith(Status(Errc::kIsDir));
   }
   Status st = node->data.Truncate(size);
   opts_.executor->Work(opts_.costs.block_copy_ns);
   ObserveLp();
   UnlockInode(node);
-  return finish(st);
+  return EndWith(st);
 }
 
 // --- snapshots ----------------------------------------------------------------

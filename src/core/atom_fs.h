@@ -22,7 +22,15 @@
 //
 // Every LP and every lock transition is reported through FsObserver so the
 // CRL-H runtime can maintain ghost state and check linearizability; with a
-// null observer AtomFS runs unmonitored at full speed.
+// null observer AtomFS runs unmonitored at full speed. It then builds no
+// OpCall or OpResult, so it copies no path, write payload, read bytes or
+// readdir entries, and stat, read and an overwriting write make no heap
+// allocation at all (tests/unobserved_alloc_test.cc).
+//
+// A directory lock covers only the link change: ins allocates its inode and
+// entry shell before it locks the parent, del/rename/exchange retire what
+// they unlinked after they unlock, and readdir sorts its copy unlocked
+// (docs/CONCURRENCY.md §4).
 //
 // rename traverses to the last common inode of the two parent paths with
 // lock coupling and releases that inode's lock only after both parent
@@ -199,19 +207,25 @@ class AtomFs : public FileSystem {
   void UnlockAll(const std::vector<Inode*>& nodes);
 
   std::unique_ptr<Inode> NewInode(FileType type);
+  // Undoes NewInode for an inode that was never linked.
+  void FreeUnlinked(std::unique_ptr<Inode> node);
   // Frees the file blocks of a detached, childless inode and retires the
   // rest (docs/CONCURRENCY.md §4). Called with no lock held.
   void DisposeInode(std::unique_ptr<Inode> node);
 
-  void ObserveBegin(const OpCall& call);
-  // Also runs a due reclaimer scan: every op ends here with no lock held.
-  void ObserveEnd(const OpResult& result);
+  // Every op begins here. `make_call()` builds the OpCall, and is called
+  // only when an observer is attached.
+  template <typename MakeCall>
+  void ObserveBegin(MakeCall&& make_call);
+  // Every op ends here, with no lock held, and runs a due reclaimer scan.
+  // `make_result()` builds the OpResult, only for an observer.
+  template <typename MakeResult>
+  void ObserveEnd(MakeResult&& make_result);
+  // ObserveEnd with a status-only result; returns `st`.
+  Status EndWith(Status st);
   // Emits the LP event. `created` carries the concrete inum allocated by a
   // successful ins.
   void ObserveLp(Inum created = kInvalidInum);
-
-  // Convenience: emits LP + end for an early-decided failing operation.
-  Status FailOp(Errc code);
 
   Options opts_;
   // Declared before root_: its destructor frees the limbo list after the

@@ -124,51 +124,81 @@ Inode* DirTable::FindOptimistic(std::string_view name) const {
   return nullptr;
 }
 
+DirTable::Shell::Shell(Shell&&) noexcept = default;
+DirTable::Shell& DirTable::Shell::operator=(Shell&&) noexcept = default;
+DirTable::Shell::~Shell() = default;
+
+std::unique_ptr<Inode> DirTable::Shell::TakeChild() { return std::move(entry_->child); }
+
+void DirTable::Shell::Retire(Reclaimer& reclaimer) && {
+  ATOMFS_CHECK(entry_->child == nullptr);
+  reclaimer.Retire(entry_.release());
+}
+
+DirTable::Shell DirTable::NewShell(std::string_view name, std::unique_ptr<Inode> child) {
+  auto* entry = new Entry;
+  entry->name = std::string(name);
+  entry->pub.store(child.get(), std::memory_order_relaxed);
+  entry->child = std::move(child);
+  return Shell(entry);
+}
+
 bool DirTable::Insert(std::string_view name, std::unique_ptr<Inode> child) {
-  if (Find(name) != nullptr) {
+  Shell shell = NewShell(name, std::move(child));
+  return Link(shell);
+}
+
+bool DirTable::Link(Shell& shell) {
+  Entry* entry = shell.entry_.get();
+  if (Find(entry->name) != nullptr) {
     return false;
   }
   Buckets* b = LockedBuckets();
   if (b == nullptr || size_ > b->mask) {
     b = Grow(b);  // keep the load factor at most 1
   }
-  auto& head = b->HeadOf(name);
-  auto* entry = new Entry;
-  entry->name = std::string(name);
-  entry->pub.store(child.get(), std::memory_order_relaxed);
-  entry->child = std::move(child);
+  auto& head = b->HeadOf(entry->name);
   entry->next.store(head.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  // Publish: everything above is sequenced before this release store, so an
-  // acquire reader that sees the new head sees a fully built entry.
-  head.store(entry, std::memory_order_release);
+  // Publish: the shell's construction and everything above are sequenced
+  // before this release store, so an acquire reader that sees the new head
+  // sees a fully built entry.
+  head.store(shell.entry_.release(), std::memory_order_release);
   ++size_;
   return true;
 }
 
 std::unique_ptr<Inode> DirTable::Remove(std::string_view name) {
+  Shell shell = Unlink(name);
+  if (!shell) {
+    return nullptr;
+  }
+  std::unique_ptr<Inode> child = shell.TakeChild();
+  std::move(shell).Retire(*reclaimer_);
+  return child;
+}
+
+DirTable::Shell DirTable::Unlink(std::string_view name) {
   Buckets* b = LockedBuckets();
   if (b == nullptr) {
-    return nullptr;
+    return Shell();
   }
   std::atomic<Entry*>* link = &b->HeadOf(name);
   while (true) {
     Entry* e = link->load(std::memory_order_relaxed);
     if (e == nullptr) {
-      return nullptr;
+      return Shell();
     }
     if (e->name == name) {
-      // Unpublish before touching the unique_ptr: after this store a
-      // lock-free reader can no longer observe the child through this entry,
-      // so moving the unique_ptr below cannot race with FindOptimistic.
+      // Unpublish: after this store a lock-free reader can no longer
+      // observe the child through this entry, so the caller may move the
+      // owning unique_ptr out without racing FindOptimistic.
       e->pub.store(nullptr, std::memory_order_release);
-      std::unique_ptr<Inode> child = std::move(e->child);
       // RCU-unlink: splice e out but keep e->next so in-flight readers on e
       // still reach the chain's tail.
       link->store(e->next.load(std::memory_order_relaxed), std::memory_order_release);
-      reclaimer_->Retire(e);
       ATOMFS_CHECK(size_ > 0);
       --size_;
-      return child;
+      return Shell(e);
     }
     link = &e->next;
   }

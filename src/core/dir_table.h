@@ -17,15 +17,15 @@
 //
 //  - the bucket array sits behind std::atomic<Buckets*>. A reader
 //    acquire-loads it once and walks only that array.
-//  - bucket heads and Entry::next are std::atomic<Entry*>; Insert fully
-//    constructs an entry, then release-stores it as the new head, so an
+//  - bucket heads and Entry::next are std::atomic<Entry*>; Link
+//    release-stores a fully built entry (NewShell) as the new head, so an
 //    acquire load of the pointer sees the entry's name and child.
 //  - each Entry carries a separate published child pointer
-//    (std::atomic<Inode*> pub) alongside the owning unique_ptr. Remove
-//    release-stores nullptr into `pub` *before* moving the unique_ptr out,
+//    (std::atomic<Inode*> pub) alongside the owning unique_ptr. Unlink
+//    release-stores nullptr into `pub` *before* the unique_ptr moves out,
 //    so a lock-free reader either sees the live inode or nullptr — never a
 //    torn unique_ptr.
-//  - Remove unlinks the entry but leaves its `next` pointer intact, so a
+//  - Unlink splices the entry out but leaves its `next` pointer intact, so a
 //    reader standing on the removed entry still reaches the rest of the
 //    chain (the Linux dcache RCU-unlink rule).
 //  - Growth never edits a published chain. It builds a new array from fresh
@@ -33,12 +33,15 @@
 //    the new array, and only then retires the old array and its shells,
 //    untouched. A reader still walking the old array finds the names it
 //    would have found before the resize. The caller's version check rejects
-//    whatever it read, since every Insert runs inside a version bump.
+//    whatever it read, since every Link runs inside a version bump.
 //
 // Removed shells and replaced arrays go to the owner's Reclaimer
 // (src/core/reclaimer.h), which frees them once no pinned reader can still
 // be on them. (The owner retires removed child inodes the same way — see
-// AtomFs::DisposeInode.)
+// AtomFs::DisposeInode.) So that a hot directory lock covers only the link
+// change, a caller may also build an entry's shell before it locks
+// (NewShell, then Link) and retire an unlinked one after it unlocks
+// (Unlink, then Shell::Retire); Insert and Remove do both under the lock.
 //
 // Entries own their child inodes: the directory tree is the ownership tree,
 // and rename moves ownership between tables.
@@ -60,7 +63,34 @@ struct Inode;
 class Reclaimer;
 
 class DirTable {
+ private:
+  struct Entry;
+
  public:
+  // An entry shell outside every table. It owns its child until Link takes
+  // both or TakeChild takes the child; dropping it frees what it still
+  // owns, so only a shell no lock-free reader has seen may be dropped.
+  class Shell {
+   public:
+    Shell() = default;
+    Shell(Shell&&) noexcept;
+    Shell& operator=(Shell&&) noexcept;
+    ~Shell();
+
+    explicit operator bool() const { return entry_ != nullptr; }
+    std::unique_ptr<Inode> TakeChild();
+    // Hands an unlinked shell, its child already taken, to `reclaimer`: a
+    // pinned reader may still stand on it. Retiring later than the unlink
+    // is safe, it only tags the shell with a later epoch
+    // (docs/CONCURRENCY.md §4).
+    void Retire(Reclaimer& reclaimer) &&;
+
+   private:
+    friend class DirTable;
+    explicit Shell(Entry* entry) : entry_(entry) {}
+    std::unique_ptr<Entry> entry_;
+  };
+
   // Removed shells and replaced arrays are retired through `reclaimer`, so
   // a pinned lock-free reader (FindOptimistic) never chases a freed
   // pointer.
@@ -88,11 +118,20 @@ class DirTable {
   // Returns nullptr on a miss or when racing a removal.
   Inode* FindOptimistic(std::string_view name) const;
 
-  // Inserts; returns false (and keeps ownership untouched) if `name` exists.
+  // Inserts; returns false (and drops `child`) if `name` exists.
   bool Insert(std::string_view name, std::unique_ptr<Inode> child);
 
   // Removes and returns the child, or nullptr if absent.
   std::unique_ptr<Inode> Remove(std::string_view name);
+
+  // A detached shell for `name` owning `child`. Needs no lock.
+  static Shell NewShell(std::string_view name, std::unique_ptr<Inode> child);
+  // Links `shell` (from NewShell) into the table and empties it; returns
+  // false, leaving it untouched, if its name exists.
+  bool Link(Shell& shell);
+  // Unlinks `name` like Remove but hands back its shell, child inside, for
+  // the caller to retire once it has unlocked; an empty shell if absent.
+  Shell Unlink(std::string_view name);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -111,7 +150,7 @@ class DirTable {
  private:
   struct Entry {
     std::string name;
-    std::unique_ptr<Inode> child;      // ownership; moved out by Remove
+    std::unique_ptr<Inode> child;      // ownership; moved out once unlinked
     std::atomic<Inode*> pub{nullptr};  // what lock-free readers may see
     std::atomic<Entry*> next{nullptr};
   };

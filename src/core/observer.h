@@ -8,6 +8,15 @@
 // ghost mutex, so each (concrete step, ghost update) pair is atomic with
 // respect to every other ghost-relevant step. Observers must not call back
 // into the file system.
+//
+// Nothing is built for an observer that is not there: AtomFs and BigLockFs
+// construct the OpCall handed to OnOpBegin (paths, write payload) and the
+// OpResult handed to OnOpEnd (read bytes, readdir entries) only when one is
+// attached, so an unobserved op copies none of them. The signatures keep
+// the owned OpCall/OpResult rather than a view: every recording observer
+// (the CRL-H monitor, TraceRecorder, the tracer) would copy a view anyway,
+// and observers outside src, such as perfbench's lock observer, override
+// these exact signatures.
 
 #ifndef ATOMFS_SRC_CORE_OBSERVER_H_
 #define ATOMFS_SRC_CORE_OBSERVER_H_

@@ -13,9 +13,10 @@
 //  - Retire tags the object with the epoch current after the unlink and
 //    appends it to the owner's limbo list. Once kScanEvery retirements have
 //    accumulated, the owner's next ScanIfDue tries to advance the epoch and
-//    frees every object whose tag is at least 2 behind it. Retire is often
-//    called under a directory lock; ScanIfDue is called where none is held,
-//    so objects are never freed under one.
+//    frees every object whose tag is at least 2 behind it. AtomFs retires
+//    unlinked shells and inodes after it unlocks (a later retire only tags
+//    a later epoch), table growth under the lock; ScanIfDue is called where
+//    no lock is held, so objects are never freed under one.
 //  - The epoch advances from E to E + 1 only when every pinned slot holds
 //    E. A reader pinned at e <= tag therefore holds the epoch at or below
 //    tag + 1 until it unpins, and a reader that pinned later sees the

@@ -70,6 +70,32 @@ TEST(DirTable, RemoveMissingReturnsNull) {
   EXPECT_EQ(table.Remove("nope"), nullptr);
 }
 
+// The split form AtomFs uses to keep allocation and retirement out of the
+// directory lock: the shell is built before Link and retired after Unlink,
+// only when the caller asks.
+TEST(DirTable, ShellsAreBuiltBeforeLinkAndRetiredAfterUnlink) {
+  Reclaimer reclaimer;
+  DirTable table(reclaimer);
+  DirTable::Shell shell = DirTable::NewShell("a", MakeInode(7));
+  ASSERT_TRUE(table.Link(shell));
+  EXPECT_FALSE(shell);  // the table owns the entry now
+  EXPECT_EQ(table.FindOptimistic("a")->ino, 7u);
+
+  DirTable::Shell dup = DirTable::NewShell("a", MakeInode(8));
+  EXPECT_FALSE(table.Link(dup));
+  ASSERT_TRUE(dup);  // untouched: dropping it frees the never-linked inode
+
+  DirTable::Shell unlinked = table.Unlink("a");
+  ASSERT_TRUE(unlinked);
+  EXPECT_EQ(table.FindOptimistic("a"), nullptr);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(reclaimer.pending(), 0u);  // nothing retired under the "lock"
+  EXPECT_EQ(unlinked.TakeChild()->ino, 7u);
+  std::move(unlinked).Retire(reclaimer);
+  EXPECT_EQ(reclaimer.pending(), 1u);
+  EXPECT_FALSE(table.Unlink("a"));
+}
+
 TEST(DirTable, SingleBucketChainsCorrectly) {
   // Every entry collides: exercises the linked-list path, across the
   // doublings that rehash the chain into each new array.

@@ -44,6 +44,42 @@ TEST(FaultInjection, FailureDoesNotDisturbExistingEntries) {
   EXPECT_EQ(fs.Stat("/d")->size, 1u);
 }
 
+// A create allocates its inode and entry shell before it locks the parent,
+// so every failure after that must free both and give back the inode.
+TEST(FaultInjection, FailedCreatesLeakNothing) {
+  std::atomic<bool> fail_next{false};
+  AtomFs::Options opts;
+  opts.inject_alloc_failure = [&fail_next] { return fail_next.exchange(false); };
+  AtomFs fs(std::move(opts));
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Mknod("/d/f").ok());
+  const uint64_t baseline = fs.InodeCount();
+  const size_t pending_baseline = fs.PendingReclaim();
+
+  constexpr int kRounds = 1000;
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(fs.Mknod("/d/f").code(), Errc::kExist);
+    EXPECT_EQ(fs.Mkdir("/d").code(), Errc::kExist);
+    EXPECT_EQ(fs.Mknod("/missing/f").code(), Errc::kNoEnt);
+    EXPECT_EQ(fs.Mkdir("/d/missing/g").code(), Errc::kNoEnt);
+    EXPECT_EQ(fs.Mknod("/d/f/g").code(), Errc::kNotDir);
+    EXPECT_EQ(fs.Mkdir("/d/f/g/h").code(), Errc::kNotDir);
+    fail_next = true;
+    EXPECT_EQ(fs.Mknod("/d/g").code(), Errc::kNoSpace);
+    fail_next = true;
+    EXPECT_EQ(fs.Mkdir("/d/g").code(), Errc::kNoSpace);
+    ASSERT_EQ(fs.InodeCount(), baseline) << "round " << i;
+  }
+  // Nothing unlinked, so nothing went to the reclaimer either.
+  EXPECT_EQ(fs.PendingReclaim(), pending_baseline);
+  // A failed create hands its inode number back: the next one is dense.
+  const Inum before = fs.Stat("/d/f")->ino;
+  ASSERT_TRUE(fs.Mknod("/d/g").ok());
+  EXPECT_EQ(fs.Stat("/d/g")->ino, before + 1);
+  EXPECT_EQ(fs.InodeCount(), baseline + 1);
+  EXPECT_TRUE(fs.SnapshotSpec().WellFormed());
+}
+
 class RandomFaultTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomFaultTest, RandomFailuresKeepTreeConsistent) {

@@ -813,6 +813,62 @@ TEST_F(ScriptedPeerTest, SlowReplyParksTheClientAfterPolling) {
   EXPECT_LT(cpu, std::chrono::milliseconds(30));
 }
 
+TEST_F(ScriptedPeerTest, SlowRepliesParkAtOnceUntilAPromptOne) {
+  constexpr int kSlow = 5;
+  constexpr int kPromptTries = 50;
+  // Far beyond the 50 µs poll budget, and long enough that a client thread
+  // preempted on a busy host still finds the reply missing.
+  constexpr auto kDelay = std::chrono::milliseconds(20);
+  Peer([&](int fd) {
+    for (int i = 1; i <= kSlow; ++i) {
+      ASSERT_EQ(ReadFrameUnits(fd), 1u);
+      std::this_thread::sleep_for(kDelay);
+      std::vector<std::byte> reply;
+      AppendReply(reply, ReplyBody(i, 0));  // (ReplyBody(0, 0) is 1 MiB)
+      EXPECT_TRUE(SendRaw(fd, reply));
+    }
+    // Then answer at once until the client hangs up.
+    while (ReadFrameUnits(fd) == 1) {
+      std::vector<std::byte> reply;
+      AppendReply(reply, ReplyBody(9, 0));
+      if (!SendRaw(fd, reply)) {
+        break;
+      }
+    }
+  });
+  auto call = [&](size_t body) {
+    auto futures = SubmitPings(1);
+    ASSERT_TRUE(session_->Flush().ok());
+    auto reply = futures[0].Wait();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(*reply, ReplyBody(body, 0));
+  };
+  const uint64_t parks_before = session_->parks();
+  call(1);  // polls for its budget, then parks
+  const uint64_t polls_after_first = session_->polls();
+  const auto cpu_before = ThreadCpuTime();
+  for (int i = 2; i <= kSlow; ++i) {
+    call(i);
+  }
+  const auto cpu = ThreadCpuTime() - cpu_before;
+  // One park per slow reply. Calls 2-5 parked without polling first, since
+  // each wait before them outlasted the budget, so they burned no CPU.
+  EXPECT_EQ(session_->parks() - parks_before, uint64_t{kSlow});
+  EXPECT_EQ(session_->polls(), polls_after_first);
+  EXPECT_LT(cpu, std::chrono::milliseconds(1));
+  // A park that returns within the budget turns polling back on, so a
+  // prompt reply is soon taken by a poll, without a park.
+  bool unparked = false;
+  for (int i = 0; i < kPromptTries && !unparked; ++i) {
+    const uint64_t parks = session_->parks();
+    const uint64_t polls = session_->polls();
+    call(9);
+    unparked = session_->parks() == parks && session_->polls() == polls + 1;
+  }
+  EXPECT_TRUE(unparked);
+  session_.reset();  // the peer's loop ends on the hang-up
+}
+
 TEST_F(ScriptedPeerTest, BufferedReplyNeverParks) {
   Peer([&](int fd) {
     ASSERT_EQ(ReadFrameUnits(fd), 1u);

@@ -36,8 +36,12 @@ done
 # monitor verdict — stay at full strength.
 FAIRNESS_LIMIT=${ATOMFS_FAIRNESS_LIMIT:-10}
 CONNECTIONS=${ATOMFS_SMOKE_CONNECTIONS:-64}
+# Each pass runs 3 s: one host stall can hold a connection back for a good
+# part of a second, which in a 1 s pass reads as starvation (min = 0).
+SECONDS_PER_PASS=3
 
-if ! "$BENCH" --connect "unix:$SOCK" --connections "$CONNECTIONS" --pipeline 8 --seconds 1 \
+if ! "$BENCH" --connect "unix:$SOCK" --connections "$CONNECTIONS" --pipeline 8 \
+    --seconds "$SECONDS_PER_PASS" \
     --check --fairness-limit "$FAIRNESS_LIMIT" \
     --json "$WORK/BENCH_server.json" > "$WORK/bench.out" 2>&1; then
   echo "FAIL: pipelined load check failed"
