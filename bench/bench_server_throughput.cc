@@ -40,13 +40,13 @@
 // conflict/retry path), then recovery time replaying 25% / 50% / 100%
 // prefixes of the journal that load produced.
 //
-// A top-level `rcu_walk` block reports how the optimistic read path fared
-// on a traced fileserver run of the default atomfs stack (no --monitor):
-// the core.rcuwalk.* counters, the reads served and the derived
-// `fallback_rate`. `--rcu-smoke` runs a short version as a gate instead:
-// exit nonzero unless the optimistic path engaged (attempts > 0) with zero
-// unvalidated reads and the counters account for every read (run_tier1.sh's
-// rcu-walk smoke stage).
+// A top-level `rcu_walk` block reports how the optimistic walk fared on a
+// traced fileserver run of the default atomfs stack (no --monitor): the
+// core.rcuwalk.* counters, the reads and all optimistic ops served and the
+// derived `fallback_rate`. `--rcu-smoke` runs a short version as a gate
+// instead: exit nonzero unless the optimistic path engaged (attempts > 0)
+// with zero unvalidated walks and the counters account for every
+// optimistic op (run_tier1.sh's rcu-walk smoke stage).
 //
 //   bench_server_throughput [--clients N]     concurrent clients (default 4)
 //                           [--ops N]         filebench ops per client (default 800)
@@ -587,13 +587,17 @@ OverheadOutcome RunOverheadExperiment(const FilebenchProfile& profile, const std
 // RCU-walk is on in every AtomFs with inode locks, so there is no locked
 // side left to compare against (perfbench's webproxy-lib carries the
 // speedup). One traced fileserver run on the default atomfs stack reports
-// how the optimistic read path fared: the core.rcuwalk.* counters, fetched
-// over the wire like any METRICS reply, and the number of read ops
-// (stat/readdir/read) the file system served.
+// how the optimistic walk fared: the core.rcuwalk.* counters, fetched over
+// the wire like any METRICS reply, and the number of ops that walk
+// optimistically — every single-path op: reads, and the mutators, whose
+// validated walks are adopted — that the file system served. (The
+// fileserver profile never creates or removes the root itself, the one
+// single-path case that fails before it walks.)
 struct RcuWalkOutcome {
-  double fallback_rate = 0;  // fallbacks / optimistic reads
+  double fallback_rate = 0;  // fallbacks / optimistic ops
   double ops_per_sec = 0;
-  uint64_t reads = 0;     // stat + readdir + read ops served
+  uint64_t reads = 0;           // stat + readdir + read ops served
+  uint64_t optimistic_ops = 0;  // reads + mkdir/mknod/rmdir/unlink/write/truncate
   uint64_t attempts = 0;  // OptimisticAttempt calls, retries included
   uint64_t validation_failures = 0;
   uint64_t fallbacks = 0;
@@ -608,25 +612,34 @@ RcuWalkOutcome RunRcuWalk(const std::string& transport, int clients, uint64_t op
   rw.ops_per_sec = r.ops_per_sec;
   rw.worker_failures = r.worker_failures;
   const MetricsSnapshot& remote = r.remote;
-  for (const char* kind : {"stat", "readdir", "read"}) {
+  auto served = [&remote](const char* kind) -> uint64_t {
     const HistogramSnapshot* h =
         remote.FindHistogram("fs.op." + std::string(kind) + ".latency_ns");
-    rw.reads += h != nullptr ? h->count : 0;
+    return h != nullptr ? h->count : 0;
+  };
+  for (const char* kind : {"stat", "readdir", "read"}) {
+    rw.reads += served(kind);
+  }
+  rw.optimistic_ops = rw.reads;
+  for (const char* kind : {"mkdir", "mknod", "rmdir", "unlink", "write", "truncate"}) {
+    rw.optimistic_ops += served(kind);
   }
   rw.attempts = remote.CounterValue("core.rcuwalk.attempts");
   rw.validation_failures = remote.CounterValue("core.rcuwalk.validation_failures");
   rw.fallbacks = remote.CounterValue("core.rcuwalk.fallbacks");
   rw.unvalidated_reads = remote.CounterValue("core.rcuwalk.unvalidated_reads");
-  rw.fallback_rate = rw.reads > 0
-                         ? static_cast<double>(rw.fallbacks) / static_cast<double>(rw.reads)
-                         : 0.0;
+  rw.fallback_rate = rw.optimistic_ops > 0 ? static_cast<double>(rw.fallbacks) /
+                                                 static_cast<double>(rw.optimistic_ops)
+                                           : 0.0;
   return rw;
 }
 
 void PrintRcuWalk(const RcuWalkOutcome& rw) {
   std::printf(
-      "rcu walk: %llu read(s) at %.0f ops/sec; %llu attempt(s), %llu validation failure(s), "
-      "%llu fallback(s) (fallback rate %.4f), %llu unvalidated read(s)\n",
+      "rcu walk: %llu optimistic op(s), %llu of them read(s), at %.0f ops/sec; %llu attempt(s), "
+      "%llu validation failure(s), %llu fallback(s) (fallback rate %.4f), %llu unvalidated "
+      "walk(s)\n",
+      static_cast<unsigned long long>(rw.optimistic_ops),
       static_cast<unsigned long long>(rw.reads), rw.ops_per_sec,
       static_cast<unsigned long long>(rw.attempts),
       static_cast<unsigned long long>(rw.validation_failures),
@@ -639,6 +652,7 @@ void JsonRcuWalk(JsonWriter& json, const RcuWalkOutcome& rw) {
   json.Field("fallback_rate", rw.fallback_rate);
   json.Field("ops_per_sec", rw.ops_per_sec);
   json.Field("reads", rw.reads);
+  json.Field("optimistic_ops", rw.optimistic_ops);
   json.Field("attempts", rw.attempts);
   json.Field("validation_failures", rw.validation_failures);
   json.Field("fallbacks", rw.fallbacks);
@@ -648,10 +662,11 @@ void JsonRcuWalk(JsonWriter& json, const RcuWalkOutcome& rw) {
 }
 
 // The --rcu-smoke gate (run_tier1.sh): on the default stack the optimistic
-// path must engage, never bypass validation, and account for every read:
-// each read ends in exactly one pass (a validated miss included) or one
-// fallback, and each failed attempt is an interior retry, so
-// attempts - validation_failures + fallbacks == reads.
+// path must engage, never bypass validation, and account for every
+// optimistic op: each ends in exactly one pass (a validated miss and a
+// mutator's adoption included) or one fallback, and each failed attempt
+// (a retracted read or withdrawn adoption included) is an interior retry,
+// so attempts - validation_failures + fallbacks == optimistic ops.
 int RcuSmokeGate(const RcuWalkOutcome& rw) {
   int rc = 0;
   if (rw.attempts == 0) {
@@ -660,18 +675,18 @@ int RcuSmokeGate(const RcuWalkOutcome& rw) {
   }
   if (rw.unvalidated_reads != 0) {
     std::fprintf(stderr,
-                 "RCU SMOKE FAILED: %llu unvalidated optimistic read(s) — the unsafe "
+                 "RCU SMOKE FAILED: %llu unvalidated optimistic walk(s) — the unsafe "
                  "skip-validation hook must never be live outside tests\n",
                  static_cast<unsigned long long>(rw.unvalidated_reads));
     rc = 1;
   }
-  if (rw.attempts - rw.validation_failures + rw.fallbacks != rw.reads) {
+  if (rw.attempts - rw.validation_failures + rw.fallbacks != rw.optimistic_ops) {
     std::fprintf(stderr,
                  "RCU SMOKE FAILED: attempts - validation_failures + fallbacks = %llu, "
-                 "but %llu read(s) were served\n",
+                 "but %llu optimistic op(s) were served\n",
                  static_cast<unsigned long long>(rw.attempts - rw.validation_failures +
                                                  rw.fallbacks),
-                 static_cast<unsigned long long>(rw.reads));
+                 static_cast<unsigned long long>(rw.optimistic_ops));
     rc = 1;
   }
   if (rw.worker_failures != 0) {
@@ -680,9 +695,12 @@ int RcuSmokeGate(const RcuWalkOutcome& rw) {
     rc = 1;
   }
   if (rc == 0) {
-    std::printf("rcu smoke: ok (%llu attempts for %llu reads, 0 unvalidated reads)\n",
-                static_cast<unsigned long long>(rw.attempts),
-                static_cast<unsigned long long>(rw.reads));
+    std::printf(
+        "rcu smoke: ok (%llu attempts for %llu optimistic ops, %llu of them reads, 0 "
+        "unvalidated walks)\n",
+        static_cast<unsigned long long>(rw.attempts),
+        static_cast<unsigned long long>(rw.optimistic_ops),
+        static_cast<unsigned long long>(rw.reads));
   }
   return rc;
 }

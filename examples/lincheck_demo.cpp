@@ -2,6 +2,8 @@
 // code and shows why the helper mechanism is necessary.
 //
 // A mkdir(/a/b/c) is parked mid-traversal while a rename(/a, /e) completes.
+// (A briefly held root sends the mkdir from its optimistic walk to the
+// lock-coupled one, the walk of the paper's figure.)
 // The CRL-H monitor, attached as an observer, helps the mkdir at the
 // rename's linearization point. The demo then replays three sequential
 // orders against the abstract specification:
@@ -39,7 +41,10 @@ int main() {
     std::printf("T1: mkdir(/a/b/c) -> %s\n", ErrcName(st.code()).data());
   });
   gate.Arm(mkdir_op.tid(), GateObserver::Point::kLockReleased, ino_a);
-  mkdir_op.Go();
+  if (!gate.StartOnLockedWalk(mkdir_op, [&] { fs.Stat("/"); })) {
+    std::printf("T1: mkdir never left its optimistic walk\n");
+    return 1;
+  }
   gate.WaitParked(mkdir_op.tid());
 
   std::printf("T2: rename(/a, /e) runs to completion...\n");

@@ -188,37 +188,6 @@ Result<Inode*> AtomFs::TraverseLocked(const std::vector<std::string>& parts, siz
   return cur;
 }
 
-Result<Inode*> AtomFs::ResolveTargetLocked(const Path& path) {
-  if (path.IsRoot()) {
-    LockInode(root_.get(), LockPathRole::kSingle);
-    return root_.get();
-  }
-  auto parent = TraverseLocked(path.parts, path.parts.size() - 1, LockPathRole::kSingle);
-  if (!parent.ok()) {
-    return parent;
-  }
-  Inode* dir = *parent;
-  if (dir->type != FileType::kDir) {
-    ObserveLp();
-    UnlockInode(dir);
-    return Errc::kNotDir;
-  }
-  Inode* child = LookupCharged(dir, path.Base());
-  if (child == nullptr) {
-    ObserveLp();
-    UnlockInode(dir);
-    return Errc::kNoEnt;
-  }
-  if (opts_.unsafe_release_before_lock) {
-    UnlockInode(dir);
-    LockInode(child, LockPathRole::kSingle);
-  } else {
-    LockInode(child, LockPathRole::kSingle);
-    UnlockInode(dir);
-  }
-  return child;
-}
-
 // --- optimistic (RCU) walk ---------------------------------------------------
 //
 // The normative protocol lives in docs/CONCURRENCY.md §3-5. Summary: a
@@ -251,9 +220,9 @@ void AtomFs::VersionTick(Inode* node) {
   node->version.fetch_add(2, std::memory_order_release);
 }
 
-Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
+Result<Inode*> AtomFs::OptimisticAttempt(const Path& path, size_t count, WalkFor walk) {
   // Everything this attempt reads lock-free stays allocated until it
-  // returns. A target returned locked cannot be unlinked while we hold it.
+  // returns. A node returned locked cannot be unlinked while we hold it.
   const EpochPin pin;
   if (opts_.observer != nullptr) {
     opts_.observer->OnOptWalkStart(CurrentTid());
@@ -268,8 +237,8 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
   Rec inline_chain[kInlineChain];
   std::unique_ptr<Rec[]> spilled;
   Rec* chain = inline_chain;
-  if (path.parts.size() + 1 > kInlineChain) {
-    spilled = std::make_unique<Rec[]>(path.parts.size() + 1);
+  if (count + 1 > kInlineChain) {
+    spilled = std::make_unique<Rec[]>(count + 1);
     chain = spilled.get();
   }
   uint32_t depth = 0;
@@ -281,7 +250,7 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
   };
   Inode* cur = root_.get();
   const std::string* missed = nullptr;  // the component a lookup missed in `cur`
-  for (const std::string& part : path.parts) {
+  for (size_t i = 0; i < count; ++i) {
     const uint64_t v = cur->version.load(std::memory_order_acquire);
     if ((v & 1) != 0) {
       return fail();  // mutation in flight on this node
@@ -292,10 +261,10 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
       // transient state of a concurrent mutation.
       return fail();
     }
-    Inode* child = cur->dir.FindOptimistic(part);
+    Inode* child = cur->dir.FindOptimistic(path.parts[i]);
     opts_.executor->Work(opts_.costs.lookup_ns);
     if (child == nullptr) {
-      missed = &part;
+      missed = &path.parts[i];
       break;
     }
     cur = child;
@@ -307,12 +276,29 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
     }
     chain[depth++] = {cur, tv};
   }
-  // The only lock of the whole walk: the target's or, after a miss, that of
-  // the directory that missed, where the locked walk would decide ENOENT.
-  // Taken before validation so its version is stable while we check
-  // (versions are written only under the owning node's lock) and the
-  // subsequent data access is as race-free as in the lock-coupled walk.
+  // The only lock of the whole walk: the last node's or, after a miss, that
+  // of the directory that missed, where the locked walk would decide
+  // ENOENT. Taken before validation so its version is stable while we
+  // check (versions are written only under the owning node's lock) and the
+  // subsequent access is as race-free as in the lock-coupled walk.
   LockInode(cur, LockPathRole::kOptTarget);
+  auto chain_current = [chain, depth, cur] {
+    return std::all_of(chain, chain + depth, [cur](const Rec& r) {
+      return r.node->version.load(std::memory_order_acquire) == r.version &&
+             (r.node == cur || !r.node->held.load(std::memory_order_acquire));
+    });
+  };
+  const bool skip = opts_.unsafe_skip_opt_validation;
+  // After a miss the re-lookup under the lock is what decides ENOENT; a
+  // current chain guarantees it misses too.
+  if (!skip &&
+      (!chain_current() || (missed != nullptr && cur->dir.Find(*missed) != nullptr))) {
+    fail();
+    UnlockInode(cur);
+    return static_cast<Inode*>(nullptr);
+  }
+  // A miss decides ENOENT under the lock of the directory that missed, as
+  // the locked walk does: the LP is observed first, then the lock goes.
   auto decided = [this, cur, missed]() -> Result<Inode*> {
     if (missed == nullptr) {
       return cur;
@@ -320,66 +306,68 @@ Result<Inode*> AtomFs::OptimisticAttempt(const Path& path) {
     UnlockInode(cur);
     return Errc::kNoEnt;
   };
-  if (opts_.unsafe_skip_opt_validation) {
-    if (opts_.observer != nullptr) {
-      opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kSkipped, depth);
-    }
-    ObserveLp();
-    return decided();
-  }
-  auto chain_current = [chain, depth, cur] {
-    return std::all_of(chain, chain + depth, [cur](const Rec& r) {
-      return r.node->version.load(std::memory_order_acquire) == r.version &&
-             (r.node == cur || !r.node->held.load(std::memory_order_acquire));
-    });
-  };
-  // After a miss the re-lookup under the lock is what decides ENOENT; a
-  // current chain guarantees it misses too.
-  if (!chain_current() || (missed != nullptr && cur->dir.Find(*missed) != nullptr)) {
-    fail();
-    UnlockInode(cur);
-    return static_cast<Inode*>(nullptr);
-  }
   if (opts_.observer == nullptr) {
     return decided();
   }
-  opts_.observer->OnOptWalkValidate(CurrentTid(), OptValidation::kPass, depth);
-  // The read linearizes at the validation above, but an observer records
-  // that LP only now; a mutation of the chain may have recorded its own LP
-  // in between. Every mutation bumps its versions before its LP, so a chain
-  // that is still current after our LP rules that out; otherwise withdraw
-  // the LP and retry (docs/CONCURRENCY.md §5).
-  ObserveLp();
-  if (!chain_current()) {
-    opts_.observer->OnOptWalkRetract(CurrentTid());
+  opts_.observer->OnOptWalkValidate(CurrentTid(),
+                                    skip ? OptValidation::kSkipped : OptValidation::kPass, depth);
+  if (walk == WalkFor::kRead) {
+    // The read linearizes at the validation above, but an observer records
+    // that LP only now; a mutation of the chain may have recorded its own
+    // LP in between. Every mutation bumps its versions before its LP, so a
+    // chain that is still current after our LP rules that out; otherwise
+    // withdraw the LP and retry (docs/CONCURRENCY.md §5).
+    ObserveLp();
+    if (!skip && !chain_current()) {
+      opts_.observer->OnOptWalkRetract(CurrentTid());
+      UnlockInode(cur);
+      return static_cast<Inode*>(nullptr);
+    }
+    return decided();
+  }
+  // A mutator is adopted as a lock-coupled arrival at `cur`: from here on
+  // a rename that breaks its chain helps it. The observer re-checks the
+  // chain inside the adoption, so no rename LP can fall between the check
+  // and the adoption (docs/CONCURRENCY.md §5).
+  std::vector<Inum> inums(depth);
+  std::transform(chain, chain + depth, inums.begin(), [](const Rec& r) { return r.node->ino; });
+  if (!opts_.observer->OnOptWalkAdopt(CurrentTid(), inums,
+                                      [&] { return skip || chain_current(); })) {
     UnlockInode(cur);
     return static_cast<Inode*>(nullptr);
+  }
+  if (missed != nullptr) {
+    ObserveLp();
   }
   return decided();
 }
 
-Result<Inode*> AtomFs::TryOptimisticResolve(const Path& path) {
-  for (uint32_t attempt = 0; attempt < kRcuWalkAttempts; ++attempt) {
-    if (auto decided = OptimisticAttempt(path); !decided.ok() || *decided != nullptr) {
-      return decided;
+Result<Inode*> AtomFs::Resolve(const Path& path, size_t count, WalkFor walk,
+                               bool* linearized) {
+  // Without inode locks there is nothing to validate under, and a mutator
+  // under unsafe_release_before_lock keeps the uncoupled walk that hook
+  // demonstrates.
+  if (!opts_.disable_inode_locks &&
+      (walk == WalkFor::kRead || !opts_.unsafe_release_before_lock)) {
+    for (uint32_t attempt = 0; attempt < kRcuWalkAttempts; ++attempt) {
+      auto decided = OptimisticAttempt(path, count, walk);
+      if (!decided.ok() || *decided != nullptr) {
+        if (linearized != nullptr) {
+          *linearized = true;
+        }
+        if (walk == WalkFor::kMutate && decided.ok()) {
+          // An adopted mutator is a pending, helpable op until its LP; let
+          // a simulated schedule run a rename in that window.
+          opts_.executor->Preempt();
+        }
+        return decided;
+      }
+    }
+    if (opts_.observer != nullptr) {
+      opts_.observer->OnOptWalkFallback(CurrentTid());
     }
   }
-  if (opts_.observer != nullptr) {
-    opts_.observer->OnOptWalkFallback(CurrentTid());
-  }
-  return static_cast<Inode*>(nullptr);
-}
-
-Result<Inode*> AtomFs::ResolveReadTarget(const Path& path, bool* linearized) {
-  *linearized = false;
-  if (!opts_.disable_inode_locks) {
-    auto decided = TryOptimisticResolve(path);
-    if (!decided.ok() || *decided != nullptr) {
-      *linearized = true;
-      return decided;
-    }
-  }
-  return ResolveTargetLocked(path);
+  return TraverseLocked(path.parts, count, LockPathRole::kSingle);
 }
 
 // --- ins / del --------------------------------------------------------------
@@ -410,7 +398,7 @@ Status AtomFs::Insert(const Path& path, FileType type) {
     }
     return EndWith(st);
   };
-  auto parent = TraverseLocked(path.parts, path.parts.size() - 1, LockPathRole::kSingle);
+  auto parent = Resolve(path, path.parts.size() - 1, WalkFor::kMutate);
   if (!parent.ok()) {
     return finish(parent.status());  // failure LP already emitted
   }
@@ -448,7 +436,7 @@ Status AtomFs::Delete(const Path& path, FileType type) {
     ObserveLp();
     return EndWith(Status(type == FileType::kDir ? Errc::kBusy : Errc::kIsDir));
   }
-  auto parent = TraverseLocked(path.parts, path.parts.size() - 1, LockPathRole::kSingle);
+  auto parent = Resolve(path, path.parts.size() - 1, WalkFor::kMutate);
   if (!parent.ok()) {
     return EndWith(parent.status());
   }
@@ -792,7 +780,7 @@ Result<Attr> AtomFs::Stat(const Path& path) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin([&] { return OpCall::StatOf(path); });
   bool linearized = false;  // an optimistic read's LP is its validation
-  auto target = ResolveReadTarget(path, &linearized);
+  auto target = Resolve(path, path.parts.size(), WalkFor::kRead, &linearized);
   if (!target.ok()) {
     return EndWith(target.status());
   }
@@ -818,7 +806,7 @@ Result<std::vector<DirEntry>> AtomFs::ReadDir(const Path& path) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin([&] { return OpCall::ReadDirOf(path); });
   bool linearized = false;  // an optimistic read's LP is its validation
-  auto target = ResolveReadTarget(path, &linearized);
+  auto target = Resolve(path, path.parts.size(), WalkFor::kRead, &linearized);
   if (!target.ok()) {
     return EndWith(target.status());
   }
@@ -855,7 +843,7 @@ Result<size_t> AtomFs::Read(const Path& path, uint64_t offset, std::span<std::by
   const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin([&] { return OpCall::ReadOf(path, offset, out.size()); });
   bool linearized = false;  // an optimistic read's LP is its validation
-  auto target = ResolveReadTarget(path, &linearized);
+  auto target = Resolve(path, path.parts.size(), WalkFor::kRead, &linearized);
   if (!target.ok()) {
     return EndWith(target.status());
   }
@@ -888,7 +876,7 @@ Result<size_t> AtomFs::Write(const Path& path, uint64_t offset,
   ObserveBegin([&] {
     return OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end()));
   });
-  auto target = ResolveTargetLocked(path);
+  auto target = Resolve(path, path.parts.size(), WalkFor::kMutate);
   if (!target.ok()) {
     return EndWith(target.status());
   }
@@ -917,7 +905,7 @@ Result<size_t> AtomFs::Write(const Path& path, uint64_t offset,
 Status AtomFs::Truncate(const Path& path, uint64_t size) {
   const EpochPin pin(opts_.unsafe_release_before_lock);
   ObserveBegin([&] { return OpCall::TruncateOf(path, size); });
-  auto target = ResolveTargetLocked(path);
+  auto target = Resolve(path, path.parts.size(), WalkFor::kMutate);
   if (!target.ok()) {
     return EndWith(target.status());
   }

@@ -1,31 +1,41 @@
 // AtomFS: the paper's fine-grained concurrent in-memory file system.
 //
-// Concurrency control is *lock coupling* (hand-over-hand per-inode locking)
-// over the directory tree: a traversal always acquires the next inode's lock
-// before releasing the current one. This satisfies the paper's
-// non-bypassable criterion (§5.1): no operation can overtake another on the
-// same path, which is what makes every interface linearizable even though
-// rename gives other operations *external* linearization points.
+// Every single-path op resolves its path through one resolver that walks
+// optimistically (RCU-style, Linux's approach): it traverses without locks,
+// locks only the last node — a read's target, the parent of an ins/del, the
+// target of write/truncate — and validates the recorded version chain and
+// that no ancestor is held. A read linearizes at that validation. A mutator
+// is instead *adopted*: the validated walk counts as a lock-coupled arrival
+// at the node it holds, so from then on it is an ordinary op that a rename
+// can help. After kRcuWalkAttempts failed attempts the op falls back to the
+// paper's *lock coupling* (hand-over-hand per-inode locking): a traversal
+// acquires the next inode's lock before releasing the current one. Lock
+// coupling now serves rename/exchange, which are the helpers, and those
+// fallbacks. Together they satisfy the paper's non-bypassable criterion
+// (§5.1): no operation can overtake another on the same path, which is what
+// makes every interface linearizable even though rename gives other
+// operations *external* linearization points (docs/CONCURRENCY.md §2, §4-5).
 //
 // Linearization points (LPs):
 //   * mkdir/mknod ("ins")  - after the directory insert, before unlock.
 //   * rmdir/unlink ("del") - after the directory remove, before unlock.
-//   * stat/readdir/read/write/truncate - while the target inode is locked;
-//     an optimistic read (stat/readdir/read) at its version-chain
-//     validation, under the lock of the target or, for a miss, of the
-//     directory that missed (docs/CONCURRENCY.md §4-5).
+//   * write/truncate       - while the target inode is locked.
+//   * stat/readdir/read    - at the optimistic walk's validation, under the
+//     lock of the target or, for a miss, of the directory that missed; on
+//     the fallback walk, while the target inode is locked.
 //   * rename               - after re-linking, before unlock; this is where
 //     the CRL-H helper (linothers) logically linearizes every operation
-//     whose traversed path the rename broke, before the rename itself.
+//     whose traversed (or adopted) path the rename broke, before the rename
+//     itself.
 //   * failing operations   - at the step where the failure is decided (e.g.
 //     the lookup miss), while the deciding lock is held.
 //
 // Every LP and every lock transition is reported through FsObserver so the
 // CRL-H runtime can maintain ghost state and check linearizability; with a
-// null observer AtomFS runs unmonitored at full speed. It then builds no
-// OpCall or OpResult, so it copies no path, write payload, read bytes or
-// readdir entries, and stat, read and an overwriting write make no heap
-// allocation at all (tests/unobserved_alloc_test.cc).
+// null observer AtomFS runs unmonitored at full speed, on the same walks.
+// It then builds no OpCall or OpResult, so it copies no path, write
+// payload, read bytes or readdir entries, and stat, read and an overwriting
+// write make no heap allocation at all (tests/unobserved_alloc_test.cc).
 //
 // A directory lock covers only the link change: ins allocates its inode and
 // entry shell before it locks the parent, del/rename/exchange retire what
@@ -78,10 +88,13 @@ class AtomFs : public FileSystem {
     bool disable_inode_locks = false;
 
     // VALIDATION ONLY: skip the version-chain validation at the end of an
-    // optimistic walk and report the (possibly stale) read as-is, emitting
-    // OptValidation::kSkipped. Exists so tests can demonstrate that the
-    // CRL-H monitor catches the resulting stale reads as refinement
-    // divergences — the optimistic analogue of unsafe_release_before_lock.
+    // optimistic walk and trust the (possibly stale) resolution as-is,
+    // emitting OptValidation::kSkipped: a read reports what it read, a
+    // mutator is adopted without the re-check and applies its change to
+    // whatever node it locked. Exists so tests can demonstrate that the
+    // CRL-H monitor catches the resulting stale reads and lost updates as
+    // refinement divergences — the optimistic analogue of
+    // unsafe_release_before_lock.
     bool unsafe_skip_opt_validation = false;
 
     // Fault injection: when set and returning true, the next inode
@@ -125,12 +138,12 @@ class AtomFs : public FileSystem {
   using FileSystem::Unlink;
   using FileSystem::Write;
 
-  // Optimistic (RCU-style) reads: stat/readdir/read first traverse without
-  // locking, lock only the target (or, after a lookup miss, the directory
-  // that missed), then validate the recorded per-component version chain
-  // before trusting the data (docs/CONCURRENCY.md §4-5). An op makes at most
-  // this many attempts before it falls back to the lock-coupled walk. On in
-  // every AtomFs that has inode locks.
+  // The optimistic (RCU-style) walk: every single-path op first traverses
+  // without locking, locks only the last node (or, after a lookup miss, the
+  // directory that missed), then validates the recorded per-component
+  // version chain before trusting it (docs/CONCURRENCY.md §4-5). An op makes
+  // at most this many attempts before it falls back to the lock-coupled
+  // walk. On in every AtomFs that has inode locks.
   static constexpr uint32_t kRcuWalkAttempts = 3;
 
   // kFsCapRcuWalk whenever inode locks are on; sharding and transactions are
@@ -156,15 +169,22 @@ class AtomFs : public FileSystem {
   Status Insert(const Path& path, FileType type);
   Status Delete(const Path& path, FileType type);
 
-  // Resolves `path` to its target inode with lock coupling and returns it
-  // locked. Shared by stat/readdir/read/write/truncate.
-  Result<Inode*> ResolveTargetLocked(const Path& path);
+  // What a validated optimistic walk means for the op (docs/CONCURRENCY.md
+  // §5): a read linearizes there; a mutator is adopted as a lock-coupled
+  // arrival at the node it holds, and linearizes later, where the locked
+  // walk's op would.
+  enum class WalkFor : uint8_t { kRead, kMutate };
 
-  // Resolves a read's target: the optimistic walk first, then the locked
-  // one. Returns the target locked; sets `*linearized` when the optimistic
-  // walk already observed the op's LP. An error comes with its LP observed
-  // and no lock held.
-  Result<Inode*> ResolveReadTarget(const Path& path, bool* linearized);
+  // The one resolver of every single-path op. Resolves `parts[0..count)` of
+  // `path` — the target, or a mutator's parent — and returns the last node
+  // locked, as the lock-coupled walk would: up to kRcuWalkAttempts
+  // optimistic attempts, then that walk (OnOptWalkFallback first). A
+  // mutator under unsafe_release_before_lock, and any op without inode
+  // locks, goes straight to the locked walk. An error comes with its LP
+  // observed and no lock held. `*linearized`, when given, is set when the
+  // optimistic walk decided the op: a read's LP is then already observed.
+  Result<Inode*> Resolve(const Path& path, size_t count, WalkFor walk,
+                         bool* linearized = nullptr);
 
   // Walks `parts[0..count)` from the root with lock coupling; returns the
   // final inode locked. On ENOENT/ENOTDIR the failure LP is emitted and all
@@ -177,21 +197,18 @@ class AtomFs : public FileSystem {
 
   // --- optimistic (RCU) walk, docs/CONCURRENCY.md §4-5 ---
 
-  // Makes up to kRcuWalkAttempts optimistic resolutions of `path`. Returns
-  // what the first decisive attempt returned, or nullptr after emitting
-  // OnOptWalkFallback when none was — the caller then runs the ordinary
-  // lock-coupled walk.
-  Result<Inode*> TryOptimisticResolve(const Path& path);
-  // One attempt, pinned: lock-free traverse recording (node, version) pairs,
-  // lock the target, validate, observe the LP. Returns the target LOCKED
-  // (role kOptTarget) with its chain validated (or validation skipped under
-  // the unsafe hook); kNoEnt when a lookup missed and the miss validated
-  // under the lock of the directory that missed (the failure LP observed,
-  // that lock released); nullptr when the attempt failed. Never decides
-  // ENOTDIR: only the locked walk may. Emits exactly one OnOptWalkValidate;
-  // a pass is followed by OnLp and, when the chain moved before that LP was
-  // recorded, by OnOptWalkRetract.
-  Result<Inode*> OptimisticAttempt(const Path& path);
+  // One attempt, pinned: lock-free traverse of `parts[0..count)` recording
+  // (node, version) pairs, lock the last node, validate. Returns that node
+  // LOCKED (role kOptTarget) with its chain validated (or validation
+  // skipped under the unsafe hook): for a read with its LP observed, for a
+  // mutator adopted (OnOptWalkAdopt). Returns kNoEnt when a lookup missed
+  // and the miss validated under the lock of the directory that missed (a
+  // mutator is adopted there first; the failure LP observed, that lock
+  // released); nullptr when the attempt failed, its lock released. Never
+  // decides ENOTDIR: only a locked walk or an adopted op may. Emits exactly
+  // one OnOptWalkValidate; a read's pass is followed by OnLp and, when the
+  // chain moved before that LP was recorded, by OnOptWalkRetract.
+  Result<Inode*> OptimisticAttempt(const Path& path, size_t count, WalkFor walk);
 
   // Seqlock write protocol (docs/CONCURRENCY.md §3): callers hold `node`'s
   // lock. Open flips the version odd before the first chain mutation; Close

@@ -31,18 +31,6 @@ DirTable::Buckets::Buckets(size_t count)
   }
 }
 
-template <typename Fn>
-void DirTable::ForEachEntry(const Buckets& b, Fn fn) {
-  for (size_t i = 0; i <= b.mask; ++i) {
-    Entry* e = b.heads[i].load(std::memory_order_relaxed);
-    while (e != nullptr) {
-      Entry* next = e->next.load(std::memory_order_relaxed);
-      fn(e);
-      e = next;
-    }
-  }
-}
-
 DirTable::Buckets::~Buckets() {
   ForEachEntry(*this, [](Entry* e) { delete e; });
 }
@@ -201,12 +189,6 @@ DirTable::Shell DirTable::Unlink(std::string_view name) {
       return Shell(e);
     }
     link = &e->next;
-  }
-}
-
-void DirTable::ForEach(const std::function<void(const std::string&, const Inode*)>& fn) const {
-  if (const Buckets* b = LockedBuckets(); b != nullptr) {
-    ForEachEntry(*b, [&fn](const Entry* e) { fn(e->name, e->child.get()); });
   }
 }
 

@@ -51,7 +51,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -140,7 +139,15 @@ class DirTable {
   size_t bucket_count() const;
 
   // Calls fn(name, child) for every entry, in unspecified order.
-  void ForEach(const std::function<void(const std::string&, const Inode*)>& fn) const;
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (const Buckets* b = LockedBuckets(); b != nullptr) {
+      ForEachEntry(*b, [&fn](const Entry* e) {
+        const Inode* child = e->child.get();
+        fn(e->name, child);
+      });
+    }
+  }
 
   // Releases ownership of every entry and frees the bucket array (used when
   // tearing down a whole tree iteratively to avoid deep recursive destructor
@@ -170,7 +177,16 @@ class DirTable {
   // Calls fn(e) for every entry linked from `b`, reading e->next first so
   // fn may free e. Under the owning lock, or on an array no reader can reach.
   template <typename Fn>
-  static void ForEachEntry(const Buckets& b, Fn fn);
+  static void ForEachEntry(const Buckets& b, Fn fn) {
+    for (size_t i = 0; i <= b.mask; ++i) {
+      Entry* e = b.heads[i].load(std::memory_order_relaxed);
+      while (e != nullptr) {
+        Entry* next = e->next.load(std::memory_order_relaxed);
+        fn(e);
+        e = next;
+      }
+    }
+  }
   Buckets* Grow(Buckets* old);
 
   std::atomic<Buckets*> buckets_{nullptr};

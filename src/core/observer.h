@@ -7,7 +7,8 @@
 // the step atomic*; the CRL-H monitor serializes event handling with one
 // ghost mutex, so each (concrete step, ghost update) pair is atomic with
 // respect to every other ghost-relevant step. Observers must not call back
-// into the file system.
+// into the file system; the chain re-check handed to OnOptWalkAdopt is not
+// such a call, it only loads version counters and held marks.
 //
 // Nothing is built for an observer that is not there: AtomFs and BigLockFs
 // construct the OpCall handed to OnOpBegin (paths, write payload) and the
@@ -20,6 +21,9 @@
 
 #ifndef ATOMFS_SRC_CORE_OBSERVER_H_
 #define ATOMFS_SRC_CORE_OBSERVER_H_
+
+#include <functional>
+#include <span>
 
 #include "src/afs/op.h"
 #include "src/util/tid.h"
@@ -35,7 +39,7 @@ enum class LockPathRole : uint8_t {
   kRenameCommon,  // shared prefix up to the last common inode (extends both)
   kRenameSrc,     // source-branch lock (extends SrcPath)
   kRenameDst,     // destination-branch lock (extends DestPath)
-  kOptTarget,     // target locked by an optimistic (RCU) walk, pre-validation
+  kOptTarget,     // last node locked by an optimistic (RCU) walk, pre-validation
 };
 
 // Outcome of one optimistic-walk validation attempt (docs/CONCURRENCY.md §5).
@@ -87,12 +91,13 @@ class FsObserver {
   // Optimistic (RCU-style) walk lifecycle. One OnOptWalkStart per traversal
   // attempt, answered by exactly one OnOptWalkValidate with the attempt's
   // outcome (`depth` = number of (node, version) pairs in the validated
-  // chain). A passed validation is the read's linearization point, so OnLp
-  // follows it at once. OnOptWalkRetract withdraws that LP when the chain
-  // moved before the LP was recorded (docs/CONCURRENCY.md §5); the op then
-  // retries, so a retracted attempt counts as a failed one. OnOptWalkFallback
-  // fires once when the op abandons the optimistic path for the lock-coupled
-  // walk. Emitted while holding only the target inode's lock
+  // chain). A read's passed validation is its linearization point, so OnLp
+  // follows it at once; a mutator's is followed by OnOptWalkAdopt (below).
+  // OnOptWalkRetract withdraws a read's LP when the chain moved before the
+  // LP was recorded (docs/CONCURRENCY.md §5); the op then retries, so a
+  // retracted attempt counts as a failed one. OnOptWalkFallback fires once
+  // when the op abandons the optimistic path for the lock-coupled walk.
+  // Emitted while holding only the walk's last node's lock
   // (validate/retract) or no lock at all (start/fallback).
   virtual void OnOptWalkStart(Tid tid) { (void)tid; }
   virtual void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) {
@@ -102,6 +107,25 @@ class FsObserver {
   }
   virtual void OnOptWalkRetract(Tid tid) { (void)tid; }
   virtual void OnOptWalkFallback(Tid tid) { (void)tid; }
+
+  // A mutator (mkdir/mknod/rmdir/unlink/write/truncate) whose optimistic
+  // walk passed validation asks to be adopted as a lock-coupled arrival at
+  // the node it holds: `chain` is the validated chain's inums, root first,
+  // that node last (docs/CONCURRENCY.md §5). `still_current` re-checks the
+  // chain's versions and held marks. Each observer calls it exactly once
+  // and returns its answer; true keeps the adoption, false withdraws it and
+  // the op retries, so a withdrawn adoption counts as a failed attempt. An
+  // observer that orders events (the CRL-H monitor) calls it inside its
+  // critical section, which makes adoption and re-check one step: a helper
+  // that runs after the adoption finds the op pending and helps it, one
+  // that ran before moved the chain and the adoption is withdrawn. Emitted
+  // holding only that node's lock; must not block.
+  virtual bool OnOptWalkAdopt(Tid tid, std::span<const Inum> chain,
+                              const std::function<bool()>& still_current) {
+    (void)tid;
+    (void)chain;
+    return still_current();
+  }
 };
 
 // Fans an event stream out to several observers (e.g. the CRL-H monitor plus
@@ -145,6 +169,13 @@ class TeeObserver : public FsObserver {
   void OnOptWalkFallback(Tid tid) override {
     first_->OnOptWalkFallback(tid);
     second_->OnOptWalkFallback(tid);
+  }
+  // Nested, so the one re-check runs inside both observers' handlers:
+  // whichever of them orders events sees it inside its critical section.
+  bool OnOptWalkAdopt(Tid tid, std::span<const Inum> chain,
+                      const std::function<bool()>& still_current) override {
+    return first_->OnOptWalkAdopt(
+        tid, chain, [&] { return second_->OnOptWalkAdopt(tid, chain, still_current); });
   }
 
  private:

@@ -35,7 +35,7 @@ bool GateObserver::IsParked(Tid tid) const {
   return it != gates_.end() && it->second.parked;
 }
 
-bool GateObserver::StartOnLockedWalk(OpThread& reader, std::function<void()> hold_root) {
+bool GateObserver::StartOnLockedWalk(OpThread& op, std::function<void()> hold_root) {
   OpThread holder(std::move(hold_root));
   Arm(holder.tid(), Point::kLockAcquired, kRootInum);
   holder.Go();
@@ -43,14 +43,14 @@ bool GateObserver::StartOnLockedWalk(OpThread& reader, std::function<void()> hol
   uint64_t before = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    before = fallbacks_[reader.tid()];
+    before = fallbacks_[op.tid()];
   }
-  reader.Go();
+  op.Go();
   bool fell_back = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
     fell_back = cv_.wait_for(lk, std::chrono::seconds(30),
-                             [&] { return fallbacks_[reader.tid()] > before; });
+                             [&] { return fallbacks_[op.tid()] > before; });
   }
   Open(holder.tid());
   holder.Join();
@@ -98,6 +98,13 @@ void GateObserver::OnLockReleased(Tid tid, Inum ino) {
 void GateObserver::OnLp(Tid tid, Inum created_ino) {
   (void)created_ino;
   MaybePark(tid, Point::kLp, kInvalidInum);
+}
+
+void GateObserver::OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) {
+  (void)depth;
+  if (outcome == OptValidation::kPass) {
+    MaybePark(tid, Point::kOptValidated, kInvalidInum);
+  }
 }
 
 void GateObserver::OnOptWalkFallback(Tid tid) {

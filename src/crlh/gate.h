@@ -31,6 +31,8 @@ class GateObserver : public FsObserver {
     kLockReleased,
     kLp,
     kOpBegin,
+    kOptValidated,  // an optimistic walk's validation passed (before its LP
+                    // or adoption), holding only the walk's last node
   };
 
   // Arms a one-shot gate: the next matching event parks the calling thread
@@ -46,22 +48,23 @@ class GateObserver : public FsObserver {
   // True if `tid` is currently parked.
   bool IsParked(Tid tid) const;
 
-  // RCU-walk is on in every AtomFs, so a read (stat/readdir/read) takes the
-  // lock-coupled walk, the only one a rename can help, only once all its
-  // optimistic attempts have failed. This puts `reader` (not yet started)
-  // on that walk: it runs `hold_root` on a fresh thread parked right after
-  // it locks the root (a held ancestor fails every optimistic attempt),
-  // starts the reader, waits until the reader falls back, then lets the
-  // holder finish. Gates armed on the reader beforehand stay armed; its
-  // attempts lock and release only its target. Returns false if the reader
-  // did not fall back within 30 s.
-  bool StartOnLockedWalk(OpThread& reader, std::function<void()> hold_root);
+  // RCU-walk is on in every AtomFs, so a single-path op (a read, ins, del,
+  // write or truncate) takes the lock-coupled walk only once all its
+  // optimistic attempts have failed. This puts `op` (not yet started) on
+  // that walk: it runs `hold_root` on a fresh thread parked right after it
+  // locks the root (a held ancestor fails every optimistic attempt), starts
+  // `op`, waits until it falls back, then lets the holder finish. Gates
+  // armed on `op` beforehand stay armed; its attempts lock and release only
+  // the last node of its walk, so `op` must not be an ins/del directly
+  // under the root. Returns false if `op` did not fall back within 30 s.
+  bool StartOnLockedWalk(OpThread& op, std::function<void()> hold_root);
 
   // FsObserver.
   void OnOpBegin(Tid tid, const OpCall& call) override;
   void OnLockAcquired(Tid tid, Inum ino, LockPathRole role) override;
   void OnLockReleased(Tid tid, Inum ino) override;
   void OnLp(Tid tid, Inum created_ino) override;
+  void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) override;
   void OnOptWalkFallback(Tid tid) override;
 
  private:

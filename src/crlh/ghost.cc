@@ -86,10 +86,11 @@ std::optional<std::vector<Tid>> ComputeHelpOrder(Tid renamer,
   const Descriptor& rd = renamer_it->second;
   ATOMFS_CHECK(IsHelperOp(rd.call.kind));
 
-  // Candidates: pending threads other than the renamer. Optimistic readers
-  // are excluded: they hold no coupled LockPath for the helper to preserve —
-  // their correctness comes from version-chain validation, which a
-  // concurrent rename simply causes to fail (retry/fallback).
+  // Candidates: pending threads other than the renamer. Threads still on an
+  // optimistic attempt are excluded: they hold no coupled LockPath for the
+  // helper to preserve — their correctness comes from version-chain
+  // validation, which a concurrent rename simply causes to fail
+  // (retry/fallback). An adopted mutator is a candidate like any other.
   auto is_candidate = [&](const std::pair<const Tid, Descriptor>& kv) {
     return kv.first != renamer && kv.second.state == AopState::kPending &&
            !kv.second.optimistic;

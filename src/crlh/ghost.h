@@ -93,12 +93,14 @@ struct Descriptor {
   // the relaxed consistency mapping).
   std::vector<Inum> held;
 
-  // Optimistic (RCU-walk) readers: `optimistic` marks a thread currently on
-  // the lock-free read path (it legitimately bypasses lock coupling, so the
+  // Optimistic (RCU-walk) attempts: `optimistic` marks a thread currently on
+  // the lock-free path (it legitimately bypasses lock coupling, so the
   // non-bypassable and Last-locked-lockpath invariants do not apply and it
   // is never a helping candidate — validation, not helping, covers it);
   // `opt_validated` records that its version-chain validation passed, which
-  // the Opt-validation invariant requires at the LP.
+  // the Opt-validation invariant requires at a read's LP and at a
+  // mutator's adoption. An adopted mutator is no longer `optimistic`: its
+  // validated chain is its LockPath, as if it had lock-coupled to its end.
   bool optimistic = false;
   bool opt_validated = false;
 

@@ -172,6 +172,10 @@ void CrlhMonitor::OnLockAcquired(Tid tid, Inum ino, LockPathRole role) {
     }
   }
 
+  CheckNonBypassableLocked(tid, d, ino);
+}
+
+void CrlhMonitor::CheckNonBypassableLocked(Tid tid, const Descriptor& d, Inum ino) {
   // Non-bypassable invariants: nobody may lock an inode that a (different)
   // helped operation is still predicted to lock — that would mean the helped
   // op is being bypassed and could compute a result inconsistent with its
@@ -330,6 +334,73 @@ void CrlhMonitor::OnOptWalkFallback(Tid tid) {
   // The lock-coupled walk that follows rebuilds the LockPath from the root;
   // the optimistic attempts' recordings must not prefix it.
   d.path.inos.clear();
+}
+
+bool CrlhMonitor::OnOptWalkAdopt(Tid tid, std::span<const Inum> chain,
+                                 const std::function<bool()>& still_current) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++seq_;
+  // The re-check runs under mu_: every rename LP recorded before this event
+  // published its version bumps before it, so a chain it broke fails here,
+  // and every rename LP after it finds this op adopted and helps it.
+  const bool current = still_current();
+  auto it = pool_.find(tid);
+  if (it == pool_.end()) {
+    Violation("optimistic adoption by thread " + std::to_string(tid) + " with no op in flight");
+    return current;
+  }
+  Descriptor& d = it->second;
+  if (!d.optimistic || d.lp_passed || d.state != AopState::kPending ||
+      IsHelperOp(d.call.kind) || chain.empty()) {
+    Violation("thread " + std::to_string(tid) +
+              " asked to adopt a walk outside an optimistic mutator walk");
+    return current;
+  }
+  if (!current) {
+    // Withdrawn: the op stays optimistic, releases the node and retries.
+    return false;
+  }
+  d.optimistic = false;
+  d.path.inos.assign(chain.begin(), chain.end());
+  if (opts_.check_invariants) {
+    // Opt-validation, for a mutator: what it adopted must be the op's
+    // abstract path at this instant, the inodes a lock-coupled walk arriving
+    // now would have locked. (A read is held to a passed validation at its
+    // LP; a mutator's effect comes later, so what matters is that it acts
+    // where its path leads.)
+    const bool resolves = AbstractPathMatches(d.call.a, chain);
+    ReportInvariantLocked(InvariantKind::kOptValidation, tid, resolves);
+    if (!resolves) {
+      Violation("Opt-validation violated: thread " + std::to_string(tid) + " adopted " +
+                (d.opt_validated ? "" : "without a passed version-chain validation ") +
+                d.path.ToString() + ", which is not the abstract path of " +
+                d.call.ToString());
+    }
+    // The adoption stands for a coupled walk that locked every inode of the
+    // chain, so each is checked as such an acquisition would be.
+    for (Inum ino : chain) {
+      CheckNonBypassableLocked(tid, d, ino);
+    }
+  }
+  d.opt_validated = false;
+  return true;
+}
+
+bool CrlhMonitor::AbstractPathMatches(const Path& path, std::span<const Inum> chain) const {
+  if (chain.size() > path.parts.size() + 1 || chain.front() != kRootInum) {
+    return false;
+  }
+  for (size_t i = 1; i < chain.size(); ++i) {
+    const SpecInode* dir = aspec_.Find(chain[i - 1]);
+    if (dir == nullptr || dir->type != FileType::kDir) {
+      return false;
+    }
+    auto link = dir->links.find(path.parts[i - 1]);
+    if (link == dir->links.end() || link->second != chain[i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void CrlhMonitor::ApplyAopLocked(Tid tid, Descriptor& d, Inum forced_ino, bool record_effects) {

@@ -103,6 +103,13 @@ class CrlhMonitor : public FsObserver {
   // LP was recorded; the op linearizes again on its retry.
   void OnOptWalkRetract(Tid tid) override;
   void OnOptWalkFallback(Tid tid) override;
+  // Adopts a validated optimistic mutator as a lock-coupled arrival: its
+  // chain becomes its LockPath and it turns into an ordinary pending,
+  // helpable descriptor. The chain re-check runs under the ghost mutex; a
+  // moved chain withdraws the adoption (the op stays optimistic and
+  // retries).
+  bool OnOptWalkAdopt(Tid tid, std::span<const Inum> chain,
+                      const std::function<bool()>& still_current) override;
 
   // --- verdicts --------------------------------------------------------------
   bool ok() const;
@@ -143,6 +150,11 @@ class CrlhMonitor : public FsObserver {
   void ReportInvariantLocked(InvariantKind kind, Tid tid, bool passed);
   void ApplyAopLocked(Tid tid, Descriptor& d, Inum forced_ino, bool record_effects);
   void HelpThreadLocked(Tid helper, Tid target, HelpReason reason);
+  // Both non-bypassable invariants for `tid` locking `ino`.
+  void CheckNonBypassableLocked(Tid tid, const Descriptor& d, Inum ino);
+  // True if the abstract tree resolves the first chain.size() - 1
+  // components of `path` through exactly the inodes of `chain` (root first).
+  bool AbstractPathMatches(const Path& path, std::span<const Inum> chain) const;
   void ComputeFutLockPathLocked(Descriptor& d);
   void CheckGoodAfsLocked(const char* where);
   void RemapPlaceholderLocked(Inum from, Inum to);

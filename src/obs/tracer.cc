@@ -270,6 +270,18 @@ void TracingObserver::OnOptWalkRetract(Tid tid) {
   OnOptWalkValidate(tid, OptValidation::kFail, 0);
 }
 
+// A withdrawn adoption is, like a retraction, an attempt that did not
+// produce the op.
+bool TracingObserver::OnOptWalkAdopt(Tid tid, std::span<const Inum> chain,
+                                     const std::function<bool()>& still_current) {
+  (void)chain;
+  const bool kept = still_current();
+  if (!kept) {
+    OnOptWalkValidate(tid, OptValidation::kFail, 0);
+  }
+  return kept;
+}
+
 void TracingObserver::OnOptWalkFallback(Tid tid) {
   rcu_fallbacks_.Inc();
   if (ring_ == nullptr) {

@@ -24,6 +24,8 @@
 //   crlh.violations                       counter
 //   core.rcuwalk.attempts                 counter, optimistic walk attempts
 //   core.rcuwalk.validation_failures      counter, failed chain validations
+//                                         (retracted reads and withdrawn
+//                                         adoptions included)
 //   core.rcuwalk.fallbacks                counter, ops that fell back to the
 //                                         lock-coupled walk
 //   core.rcuwalk.unvalidated_reads        counter, validations skipped by the
@@ -78,6 +80,8 @@ class TracingObserver : public FsObserver, public CrlhObsSink {
   void OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t depth) override;
   void OnOptWalkRetract(Tid tid) override;
   void OnOptWalkFallback(Tid tid) override;
+  bool OnOptWalkAdopt(Tid tid, std::span<const Inum> chain,
+                      const std::function<bool()>& still_current) override;
 
   // CrlhObsSink (called by CrlhMonitor with the ghost mutex held).
   void OnHelpEvent(Tid helper, size_t help_set_size) override;

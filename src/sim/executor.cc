@@ -257,6 +257,13 @@ void SimExecutor::Work(uint64_t cost_ns) {
   }
 }
 
+void SimExecutor::Preempt() {
+  std::unique_lock<std::mutex> lk(mu_);
+  SimThread* self = CurrentThread();
+  ATOMFS_CHECK(self != nullptr && "SimExecutor::Preempt must be called from a spawned sim thread");
+  YieldToSchedulerLocked(lk, self);
+}
+
 uint64_t SimExecutor::NowNanos() {
   std::unique_lock<std::mutex> lk(mu_);
   SimThread* self = CurrentThread();

@@ -75,6 +75,11 @@ class Executor {
   // SimExecutor it advances virtual time subject to core availability.
   virtual void Work(uint64_t cost_ns) = 0;
 
+  // A point where the calling thread may lose the CPU although it takes no
+  // lock. A no-op for real threads; under SimExecutor a scheduling point
+  // even when Work does not yield, so schedule exploration branches here.
+  virtual void Preempt() {}
+
   // Current time in nanoseconds (virtual under simulation).
   virtual uint64_t NowNanos() = 0;
 
@@ -128,6 +133,7 @@ class SimExecutor : public Executor {
 
   std::unique_ptr<Lockable> CreateLock() override;
   void Work(uint64_t cost_ns) override;
+  void Preempt() override;
   uint64_t NowNanos() override;
 
   void Spawn(std::function<void()> fn);

@@ -34,7 +34,7 @@ void ScheduleShaker::Perturb() {
       volatile uint64_t sink = 0;
       const uint64_t n = rng_.Between(16, 512);
       for (uint64_t i = 0; i < n; ++i) {
-        sink += i;
+        sink = sink + i;  // C++20 deprecates compound assignment to a volatile
       }
       break;
     }

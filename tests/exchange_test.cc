@@ -171,15 +171,17 @@ TEST_F(ExchangeScenarioTest, ExchangeHelpsBothSides) {
   const Inum ino_left = InoOf("/left");
   const Inum ino_right = InoOf("/right");
 
-  // One mkdir parked inside each subtree, each holding only its own sub dir.
+  // One mkdir parked inside each subtree on the lock-coupled walk, each
+  // holding only its own sub dir.
+  auto hold_root = [&] { EXPECT_TRUE(fs_->Stat("/").ok()); };
   OpThread in_left([&] { EXPECT_TRUE(fs_->Mkdir("/left/sub/x").ok()); });
   gate_.Arm(in_left.tid(), GateObserver::Point::kLockReleased, ino_left);
-  in_left.Go();
+  ASSERT_TRUE(gate_.StartOnLockedWalk(in_left, hold_root));
   gate_.WaitParked(in_left.tid());
 
   OpThread in_right([&] { EXPECT_TRUE(fs_->Mkdir("/right/sub/y").ok()); });
   gate_.Arm(in_right.tid(), GateObserver::Point::kLockReleased, ino_right);
-  in_right.Go();
+  ASSERT_TRUE(gate_.StartOnLockedWalk(in_right, hold_root));
   gate_.WaitParked(in_right.tid());
 
   // The exchange swaps the two trees and must help BOTH parked mkdirs.

@@ -191,6 +191,90 @@ TEST(ExploreExhaustive, UnlinkVsStatValidatedMiss) {
                                     : stats.failure_messages[0]);
 }
 
+// --- optimistic mutators ------------------------------------------------------
+//
+// ins/del resolve their parent, and write/truncate their target, on the
+// optimistic walk; a validated walk is adopted as a lock-coupled arrival
+// (docs/CONCURRENCY.md §5). The simulator offers a scheduling point right
+// after each adoption, so these programs reach every window in which a
+// helper can meet an adopted op.
+
+// Figure 1 with an adopted mknod: some schedules adopt the mknod holding
+// /a/b and then let the rename run, which must help it.
+TEST(ExploreExhaustive, AdoptedMknodVsRenameOfAncestor) {
+  ConcurrentProgram program;
+  program.setup = [](FileSystem& fs) {
+    ASSERT_TRUE(fs.Mkdir("/a").ok());
+    ASSERT_TRUE(fs.Mkdir("/a/b").ok());
+  };
+  program.threads = {{Mknod("/a/b/f")}, {Rename("/a", "/c")}};
+  ExploreOptions options;
+  options.wing_gong = true;
+  auto stats = ExploreSchedules(program, options);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_TRUE(stats.all_ok) << (stats.failure_messages.empty()
+                                    ? "?"
+                                    : stats.failure_messages[0]);
+  EXPECT_GT(stats.schedules_with_helping, 0u);
+}
+
+// A create racing the removal of its parent: the mknod either lands first
+// (the rmdir then fails ENOTEMPTY) or misses /a; it must never link into
+// the removed directory.
+TEST(ExploreExhaustive, AdoptedMknodVsRmdirOfParent) {
+  ConcurrentProgram program;
+  program.setup = [](FileSystem& fs) { ASSERT_TRUE(fs.Mkdir("/a").ok()); };
+  program.threads = {{Mknod("/a/f")}, {Rmdir("/a")}};
+  ExploreOptions options;
+  options.wing_gong = true;
+  auto stats = ExploreSchedules(program, options);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_TRUE(stats.all_ok) << (stats.failure_messages.empty()
+                                    ? "?"
+                                    : stats.failure_messages[0]);
+}
+
+// An adopted unlink holds /d and then locks its victim; a stat of the
+// victim runs its optimistic walk, its validated miss or its fallback in
+// every window between.
+TEST(ExploreExhaustive, AdoptedUnlinkVsStat) {
+  ConcurrentProgram program;
+  program.setup = [](FileSystem& fs) {
+    ASSERT_TRUE(fs.Mkdir("/d").ok());
+    ASSERT_TRUE(fs.Mkdir("/d/e").ok());
+    ASSERT_TRUE(fs.Mknod("/d/e/f").ok());
+  };
+  program.threads = {{Unlink("/d/e/f")}, {Stat("/d/e/f"), Stat("/d/e")}};
+  ExploreOptions options;
+  options.wing_gong = true;
+  auto stats = ExploreSchedules(program, options);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_TRUE(stats.all_ok) << (stats.failure_messages.empty()
+                                    ? "?"
+                                    : stats.failure_messages[0]);
+}
+
+// A write adopted at its target and a rename of the target's parent: the
+// write lands in the moved file, helped when the rename comes after its
+// adoption.
+TEST(ExploreExhaustive, AdoptedWriteVsRenameOfParent) {
+  std::vector<std::byte> payload{std::byte{'x'}, std::byte{'y'}};
+  ConcurrentProgram program;
+  program.setup = [](FileSystem& fs) {
+    ASSERT_TRUE(fs.Mkdir("/a").ok());
+    ASSERT_TRUE(fs.Mknod("/a/f").ok());
+  };
+  program.threads = {{OpCall::WriteOf(*ParsePath("/a/f"), 0, payload)}, {Rename("/a", "/c")}};
+  ExploreOptions options;
+  options.wing_gong = true;
+  auto stats = ExploreSchedules(program, options);
+  EXPECT_TRUE(stats.exhausted);
+  EXPECT_TRUE(stats.all_ok) << (stats.failure_messages.empty()
+                                    ? "?"
+                                    : stats.failure_messages[0]);
+  EXPECT_GT(stats.schedules_with_helping, 0u);
+}
+
 // The negative direction: with lock coupling disabled, exploration must
 // AUTOMATICALLY find the paper's Figure 8 violation — no hand-crafted
 // schedule required. This is the model-checking payoff: the same program

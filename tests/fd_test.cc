@@ -52,9 +52,10 @@ TEST_F(Fig9Test, FdReaddirDoesNotBypassHelpedIns) {
   auto fd = vfs_->Open("/a/b/c", OpenFlags::kRead);
   ASSERT_TRUE(fd.ok());
 
+  // The ins takes the lock-coupled walk and parks holding only c.
   OpThread ins([&] { EXPECT_TRUE(fs_->Mkdir("/a/b/c/d").ok()); });
   gate_.Arm(ins.tid(), GateObserver::Point::kLockReleased, ino_b);
-  ins.Go();
+  ASSERT_TRUE(gate_.StartOnLockedWalk(ins, [&] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
   gate_.WaitParked(ins.tid());  // ins holds c, about to insert d
 
   ASSERT_TRUE(fs_->Rename("/a", "/i").ok());
@@ -85,7 +86,7 @@ TEST_F(Fig9Test, FdReaddirThroughNewPathSeesHelpedInsert) {
 
   OpThread ins([&] { EXPECT_TRUE(fs_->Mkdir("/a/b/c/d").ok()); });
   gate_.Arm(ins.tid(), GateObserver::Point::kLockReleased, ino_b);
-  ins.Go();
+  ASSERT_TRUE(gate_.StartOnLockedWalk(ins, [&] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
   gate_.WaitParked(ins.tid());
 
   ASSERT_TRUE(fs_->Rename("/a", "/i").ok());

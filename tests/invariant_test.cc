@@ -154,11 +154,11 @@ TEST(LockCouplingTest, Fig8ScheduleImpossibleUnderCoupling) {
   ASSERT_TRUE(fs.Mkdir("/a/b/c").ok());
   const Inum ino_b = fs.Stat("/a/b")->ino;
 
-  // Park ins while it holds c's parent-to-be (LockPath root,a,b,c... here it
-  // holds c after releasing b).
+  // Park ins on the lock-coupled walk while it holds c's parent-to-be
+  // (LockPath root,a,b,c... here it holds c after releasing b).
   OpThread ins([&] { EXPECT_TRUE(fs.Mkdir("/a/b/c/d").ok()); });
   gate.Arm(ins.tid(), GateObserver::Point::kLockReleased, ino_b);
-  ins.Go();
+  ASSERT_TRUE(gate.StartOnLockedWalk(ins, [&] { EXPECT_TRUE(fs.Stat("/").ok()); }));
   gate.WaitParked(ins.tid());
 
   EXPECT_TRUE(fs.Rename("/a", "/i").ok());

@@ -223,20 +223,22 @@ TEST(TracingObserverTest, ProfilesLockCouplingOnAtomFs) {
   ASSERT_TRUE(fs.Mkdir("/a/b").ok());
   ASSERT_TRUE(fs.Mknod("/a/b/f").ok());
   ASSERT_TRUE(fs.Stat("/a/b/f").ok());
+  ASSERT_TRUE(fs.Rename("/a/b/f", "/a/b/g").ok());
   ASSERT_FALSE(fs.Mkdir("/a").ok());  // kExist -> error counter
 
   const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("fs.ops"), 5u);
+  EXPECT_EQ(snap.CounterValue("fs.ops"), 6u);
   EXPECT_EQ(snap.CounterValue("fs.op.mkdir.errors"), 1u);
   // Every hand-over-hand acquire has a matching release once quiesced.
   const uint64_t acquires = snap.CounterValue("lock.acquires");
   EXPECT_GT(acquires, 0u);
   EXPECT_EQ(acquires, snap.CounterValue("lock.releases"));
-  // Depth-1 (the root) was locked by every op.
+  // Every op took a first lock: the only one of an optimistic walk, the
+  // root for the rename.
   const HistogramSnapshot* d1 = snap.FindHistogram("lock.depth01.hold_ns");
   ASSERT_NE(d1, nullptr);
   EXPECT_GT(d1->count, 0u);
-  // /a/b/f ops couple three levels deep.
+  // The rename of /a/b/f couples three levels deep (root, a, b).
   const HistogramSnapshot* d3 = snap.FindHistogram("lock.depth03.hold_ns");
   ASSERT_NE(d3, nullptr);
   EXPECT_GT(d3->count, 0u);
@@ -254,8 +256,8 @@ TEST(TracingObserverTest, ProfilesLockCouplingOnAtomFs) {
     lock_events +=
         e.type == TraceEventType::kLockAcquired || e.type == TraceEventType::kLockReleased;
   }
-  EXPECT_EQ(begins, 5u);
-  EXPECT_EQ(ends, 5u);
+  EXPECT_EQ(begins, 6u);
+  EXPECT_EQ(ends, 6u);
   EXPECT_EQ(lock_events, 2 * acquires);
 }
 
@@ -822,8 +824,40 @@ TEST(DocsDriftTest, ConcurrencyDocMatchesRcuWalkConstantsAndAtomics) {
         "`core.rcuwalk.fallbacks`", "`core.rcuwalk.unvalidated_reads`"}) {
     EXPECT_NE(doc.find(counter), std::string::npos) << "missing counter: " << counter;
   }
-  EXPECT_NE(doc.find("`attempts - validation_failures + fallbacks`"), std::string::npos)
-      << "doc lost the fallback accounting identity";
+  // Prose anchors are matched with line breaks and indentation folded.
+  auto flat = [](const std::string& text) {
+    std::string out;
+    for (char c : text) {
+      const bool space = c == ' ' || c == '\n';
+      if (!space || (!out.empty() && out.back() != ' ')) {
+        out.push_back(space ? ' ' : c);
+      }
+    }
+    return out;
+  };
+  const std::string identity =
+      "`attempts - validation_failures + fallbacks` equals the number of ops that went "
+      "optimistic";
+  EXPECT_NE(flat(doc).find(identity), std::string::npos)
+      << "doc lost the fallback accounting identity over every optimistic op";
+  // Mutators are adopted through the observer event the monitor handles.
+  EXPECT_NE(doc.find("`FsObserver::OnOptWalkAdopt`"), std::string::npos)
+      << "doc lost the adoption event";
+  EXPECT_NE(doc.find("`CrlhMonitor::OnOptWalkAdopt`"), std::string::npos)
+      << "doc lost the monitor's adoption handler";
+
+  // docs/OBSERVABILITY.md states the same identity, over reads and mutators.
+  {
+    std::ifstream obs(std::string(ATOMFS_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+    ASSERT_TRUE(obs.good());
+    std::stringstream obs_buf;
+    obs_buf << obs.rdbuf();
+    const std::string obs_doc = obs_buf.str();
+    EXPECT_NE(flat(obs_doc).find(identity), std::string::npos)
+        << "docs/OBSERVABILITY.md lost the accounting identity over every optimistic op";
+    EXPECT_NE(obs_doc.find("mutator adoptions withdrawn by their re-check"), std::string::npos)
+        << "docs/OBSERVABILITY.md does not count withdrawn adoptions as failures";
+  }
 
   // The attempt budget must state the compiled-in constant.
   const std::string attempts = "`AtomFs::kRcuWalkAttempts` attempts (" +

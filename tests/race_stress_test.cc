@@ -142,11 +142,14 @@ TEST(RaceStress, MonitoredPathInterdependencyMix) {
 
 // The optimistic (RCU) walk's hot loop: readers resolve stat/readdir/read
 // lock-free while mutators rename, unlink, and recreate the very directories
-// under them. Version-chain validation is the only thing standing between a
-// reader and a stale result, so the monitored run must stay violation-free,
-// and the core.rcuwalk.* counters must balance exactly: every reader op ends
-// in either one passing validation or one fallback, with failed attempts as
-// interior steps (attempts - validation_failures + fallbacks == reader ops).
+// under them, their mkdir/mknod/unlink walking optimistically too. Version-
+// chain validation is the only thing standing between a reader and a stale
+// result, and adoption the only thing making a mutator helpable, so the
+// monitored run must stay violation-free, and the core.rcuwalk.* counters
+// must balance exactly: every optimistic op ends in either one passing
+// validation (an adoption, for a mutator) or one fallback, with failed
+// attempts as interior steps (attempts - validation_failures + fallbacks ==
+// optimistic ops; renames always lock-couple).
 TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
   const uint64_t seed = StressSeed();
   const int mutators = 4;
@@ -162,6 +165,7 @@ TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
   AtomFs fs(std::move(opts));
 
   RaceBarrier barrier(mutators + readers);
+  std::atomic<uint64_t> optimistic_mutations{0};  // mkdir/mknod/unlink run
   std::vector<std::thread> cohort;
   cohort.reserve(static_cast<size_t>(mutators + readers));
   for (int t = 0; t < mutators; ++t) {
@@ -170,7 +174,9 @@ TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
       ScheduleShaker shaker(seed, static_cast<uint32_t>(t));
       barrier.Arrive();
       for (int i = 0; i < ops; ++i) {
-        switch (rng.Below(6)) {
+        const uint64_t kind = rng.Below(6);
+        optimistic_mutations.fetch_add(kind < 3 ? 1 : 0, std::memory_order_relaxed);
+        switch (kind) {
           case 0:
             RunOp(fs, OpCall::MkdirOf(RandomPath(rng)));
             break;
@@ -229,7 +235,8 @@ TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
   EXPECT_GT(attempts, 0u) << "the optimistic path never engaged";
   EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
   EXPECT_EQ(attempts - failures + fallbacks,
-            static_cast<uint64_t>(readers) * static_cast<uint64_t>(ops))
+            static_cast<uint64_t>(readers) * static_cast<uint64_t>(ops) +
+                optimistic_mutations.load())
       << "event accounting broke: attempts=" << attempts << " failures=" << failures
       << " fallbacks=" << fallbacks;
 }
@@ -239,7 +246,8 @@ TEST(RaceStress, RcuWalkReadersVsRenameUnlinkChurn) {
 // enough entries to grow the table from its first array through several
 // doublings, unlinking some on the way. A reader that walks a replaced array
 // must stay memory-safe and fail validation, so the monitored run must stay
-// violation-free and the rcu-walk counters must balance exactly.
+// violation-free and the rcu-walk counters must balance exactly, over the
+// readers' stats and the writer's mknods and unlinks alike.
 TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
   const uint64_t seed = StressSeed();
   const int readers = 3;
@@ -259,6 +267,7 @@ TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   std::atomic<bool> writer_done{false};
   std::atomic<uint64_t> reader_ops{0};
+  uint64_t writer_ops = 1;  // the mkdir of /d above; the writer adds its ops
   RaceBarrier barrier(1 + readers);
   std::vector<std::thread> cohort;
   cohort.reserve(1 + readers);
@@ -267,8 +276,10 @@ TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
     barrier.Arrive();
     for (int i = 0; i < files && std::chrono::steady_clock::now() < deadline; ++i) {
       RunOp(fs, OpCall::MknodOf(*ParsePath("/d/f" + std::to_string(i))));
+      ++writer_ops;
       if (i % 3 == 2) {
         RunOp(fs, OpCall::UnlinkOf(*ParsePath("/d/f" + std::to_string(i - 1))));
+        ++writer_ops;
       }
       if (i % 16 == 0) {
         shaker.Perturb();
@@ -307,7 +318,7 @@ TEST(RaceStress, RcuWalkReadersVsDirectoryGrowth) {
   const uint64_t fallbacks = snap.CounterValue("core.rcuwalk.fallbacks");
   EXPECT_GT(attempts, 0u) << "the optimistic path never engaged";
   EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
-  EXPECT_EQ(attempts - failures + fallbacks, reader_ops.load())
+  EXPECT_EQ(attempts - failures + fallbacks, reader_ops.load() + writer_ops)
       << "event accounting broke: attempts=" << attempts << " failures=" << failures
       << " fallbacks=" << fallbacks;
   const auto dir = fs.Stat("/d");

@@ -102,14 +102,31 @@ class ScenarioTest : public ::testing::Test {
     fs_ = std::make_unique<AtomFs>(std::move(opts));
   }
 
-  uint64_t CounterValue(std::string_view name) const {
-    return registry_->Snapshot().CounterValue(name);
+  // The core.rcuwalk.* counters, so a test can count what its schedule
+  // added to what the setup left.
+  struct RcuCounts {
+    uint64_t attempts = 0;
+    uint64_t failures = 0;
+    uint64_t fallbacks = 0;
+    uint64_t unvalidated = 0;
+
+    RcuCounts operator-(const RcuCounts& o) const {
+      return {attempts - o.attempts, failures - o.failures, fallbacks - o.fallbacks,
+              unvalidated - o.unvalidated};
+    }
+  };
+  RcuCounts Rcu() const {
+    const MetricsSnapshot snap = registry_->Snapshot();
+    return {snap.CounterValue("core.rcuwalk.attempts"),
+            snap.CounterValue("core.rcuwalk.validation_failures"),
+            snap.CounterValue("core.rcuwalk.fallbacks"),
+            snap.CounterValue("core.rcuwalk.unvalidated_reads")};
   }
 
-  // Puts `reader` on the lock-coupled walk (GateObserver::StartOnLockedWalk)
+  // Puts `op` on the lock-coupled walk (GateObserver::StartOnLockedWalk)
   // with a stat of the root as the holder.
-  void StartOnLockedWalk(OpThread& reader) {
-    ASSERT_TRUE(gate_.StartOnLockedWalk(reader, [this] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
+  void StartOnLockedWalk(OpThread& op) {
+    ASSERT_TRUE(gate_.StartOnLockedWalk(op, [this] { EXPECT_TRUE(fs_->Stat("/").ok()); }));
   }
 
   Inum InoOf(std::string_view path) {
@@ -173,7 +190,7 @@ TEST_F(ScenarioTest, Fig4aFixedLpsSufficeWithoutInterdependency) {
   // Park ins inside its critical section (holding /a), run del fully, then
   // let ins finish: overlapping, but no shared path.
   gate_.Arm(ins.tid(), GateObserver::Point::kLockReleased, kRootInum);
-  ins.Go();
+  StartOnLockedWalk(ins);
   gate_.WaitParked(ins.tid());
   del.Go();
   del.Join();
@@ -197,10 +214,10 @@ TEST_F(ScenarioTest, Fig1RenameHelpsMkdir) {
   const Inum ino_a = InoOf("/a");
 
   OpThread mkdir_op([&] { EXPECT_TRUE(fs_->Mkdir("/a/b/c").ok()); });
-  // Park mkdir right after it releases /a: it then holds only /a/b, with
-  // LockPath (root, a, b).
+  // Park mkdir on the lock-coupled walk right after it releases /a: it then
+  // holds only /a/b, with LockPath (root, a, b).
   gate_.Arm(mkdir_op.tid(), GateObserver::Point::kLockReleased, ino_a);
-  mkdir_op.Go();
+  StartOnLockedWalk(mkdir_op);
   gate_.WaitParked(mkdir_op.tid());
 
   // rename completes while mkdir sits in its critical section.
@@ -244,7 +261,7 @@ TEST_F(ScenarioTest, Fig1FixedLpModeFailsRefinement) {
 
   OpThread mkdir_op([&] { EXPECT_TRUE(fs_->Mkdir("/a/b/c").ok()); });
   gate_.Arm(mkdir_op.tid(), GateObserver::Point::kLockReleased, ino_a);
-  mkdir_op.Go();
+  StartOnLockedWalk(mkdir_op);
   gate_.WaitParked(mkdir_op.tid());
   EXPECT_TRUE(fs_->Rename("/a", "/e").ok());
   gate_.Open(mkdir_op.tid());
@@ -408,7 +425,7 @@ TEST_F(ScenarioTest, RenameHelpsUnlink) {
 
   OpThread unlink_op([&] { EXPECT_TRUE(fs_->Unlink("/a/b/x").ok()); });
   gate_.Arm(unlink_op.tid(), GateObserver::Point::kLockReleased, ino_a);
-  unlink_op.Go();
+  StartOnLockedWalk(unlink_op);
   gate_.WaitParked(unlink_op.tid());
 
   EXPECT_TRUE(fs_->Rename("/a", "/z").ok());
@@ -432,7 +449,7 @@ TEST_F(ScenarioTest, RenameHelpsRmdir) {
 
   OpThread rmdir_op([&] { EXPECT_TRUE(fs_->Rmdir("/a/b/d").ok()); });
   gate_.Arm(rmdir_op.tid(), GateObserver::Point::kLockReleased, ino_a);
-  rmdir_op.Go();
+  StartOnLockedWalk(rmdir_op);
   gate_.WaitParked(rmdir_op.tid());
 
   EXPECT_TRUE(fs_->Rename("/a", "/z").ok());
@@ -456,7 +473,7 @@ TEST_F(ScenarioTest, RollbackRelationHoldsMidFlight) {
 
   OpThread mkdir_op([&] { EXPECT_TRUE(fs_->Mkdir("/a/b/c").ok()); });
   gate_.Arm(mkdir_op.tid(), GateObserver::Point::kLockReleased, ino_a);
-  mkdir_op.Go();
+  StartOnLockedWalk(mkdir_op);
   gate_.WaitParked(mkdir_op.tid());
 
   EXPECT_TRUE(fs_->Rename("/a", "/e").ok());
@@ -494,6 +511,9 @@ TEST_F(ScenarioTest, RcuStaleReadIsDetectedAndBundleReplays) {
   Build({}, std::move(opts));
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
   ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
+  // The setup's mkdirs skip validation too, but adopt their true path.
+  ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
+  const RcuCounts before = Rcu();
 
   OpThread reader([&] {
     // Resolved before the rename, validation skipped: the stat observes the
@@ -522,9 +542,9 @@ TEST_F(ScenarioTest, RcuStaleReadIsDetectedAndBundleReplays) {
   }
   EXPECT_TRUE(opt_violation);
   EXPECT_TRUE(refinement);
-  const MetricsSnapshot snap = registry_->Snapshot();
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 1u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts"), 1u);
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.unvalidated, 1u);
+  EXPECT_EQ(added.attempts, 1u);
 
   // The divergence is replayable away from the schedule: bundle the
   // post-mortem state, round-trip it through the text form, and replay the
@@ -549,6 +569,7 @@ TEST_F(ScenarioTest, RcuValidationFailureRetriesIntoAValidatedMiss) {
   Build();
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
   ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
+  const RcuCounts before = Rcu();
 
   OpThread reader([&] { EXPECT_EQ(fs_->Stat("/a/b").status().code(), Errc::kNoEnt); });
   gate_.Arm(reader.tid(), GateObserver::Point::kLockAcquired);
@@ -562,11 +583,11 @@ TEST_F(ScenarioTest, RcuValidationFailureRetriesIntoAValidatedMiss) {
   EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
   // Attempt 0 fails validation (the root's version moved); attempt 1 is a
   // validated miss, counted as a pass. No fallback, nothing unvalidated.
-  const MetricsSnapshot snap = registry_->Snapshot();
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts"), 2u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.validation_failures"), 1u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.fallbacks"), 0u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.attempts, 2u);
+  EXPECT_EQ(added.failures, 1u);
+  EXPECT_EQ(added.fallbacks, 0u);
+  EXPECT_EQ(added.unvalidated, 0u);
 }
 
 // A stat miss must not validate while an insert of the missing name is in
@@ -585,7 +606,7 @@ TEST_F(ScenarioTest, RcuMissDoesNotValidateAcrossAnInsertWindow) {
   opts.costs.dir_insert_ns = 2;   // charged inside Insert's version window
   Build({}, std::move(opts));
   ASSERT_TRUE(fs_->Mkdir("/d").ok());
-  const uint64_t attempts_before = CounterValue("core.rcuwalk.attempts");
+  const RcuCounts before = Rcu();
 
   OpThread reader([&] {
     auto attr = fs_->Stat("/d/x");
@@ -607,11 +628,12 @@ TEST_F(ScenarioTest, RcuMissDoesNotValidateAcrossAnInsertWindow) {
 
   ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
   EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
-  const MetricsSnapshot snap = registry_->Snapshot();
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts") - attempts_before, 2u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.validation_failures"), 1u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.fallbacks"), 0u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
+  // The stat's two attempts (one failed) and the mknod's one, adopted.
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.attempts, 3u);
+  EXPECT_EQ(added.failures, 1u);
+  EXPECT_EQ(added.fallbacks, 0u);
+  EXPECT_EQ(added.unvalidated, 0u);
 }
 
 // A lock-coupled op parked holding /a may be a helped op whose abstract
@@ -623,19 +645,18 @@ TEST_F(ScenarioTest, RcuValidationRefusesAHeldAncestor) {
   Build();
   ASSERT_TRUE(fs_->Mkdir("/a").ok());
   ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
-  const Inum a = InoOf("/a");
-  const uint64_t attempts_before = registry_->Snapshot().CounterValue("core.rcuwalk.attempts");
 
+  // The holder lock-couples through the root and parks holding /a.
   OpThread holder([&] { EXPECT_TRUE(fs_->Mkdir("/a/c").ok()); });
-  gate_.Arm(holder.tid(), GateObserver::Point::kLockAcquired, a);
-  holder.Go();
+  gate_.Arm(holder.tid(), GateObserver::Point::kLockReleased, kRootInum);
+  StartOnLockedWalk(holder);
   gate_.WaitParked(holder.tid());
+  const RcuCounts before = Rcu();
 
   OpThread reader([&] { EXPECT_TRUE(fs_->Stat("/a/b").ok()); });
   reader.Go();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (registry_->Snapshot().CounterValue("core.rcuwalk.fallbacks") == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (Rcu().fallbacks == before.fallbacks && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   gate_.Open(holder.tid());
@@ -643,11 +664,179 @@ TEST_F(ScenarioTest, RcuValidationRefusesAHeldAncestor) {
   reader.Join();
 
   ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
-  const MetricsSnapshot snap = registry_->Snapshot();
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.attempts") - attempts_before, 3u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.validation_failures"), 3u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.fallbacks"), 1u);
-  EXPECT_EQ(snap.CounterValue("core.rcuwalk.unvalidated_reads"), 0u);
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.attempts, 3u);
+  EXPECT_EQ(added.failures, 3u);
+  EXPECT_EQ(added.fallbacks, 1u);
+  EXPECT_EQ(added.unvalidated, 0u);
+}
+
+// --- optimistic mutators: adoption ----------------------------------------------
+//
+// A mutator whose optimistic walk validates is adopted as a lock-coupled
+// arrival at the node it holds (docs/CONCURRENCY.md §5): from then on a
+// rename that breaks its chain must help it, and a rename whose LP came
+// before the adoption must make the adoption's re-check withdraw it.
+
+// Figure 1 on the optimistic walk: mknod(/a/b/f) validates and is adopted
+// holding only /a/b, then parks before its insert; rename(/a, /c) completes
+// and must help it, exactly as it helps a lock-coupled mknod.
+TEST_F(ScenarioTest, RenameHelpsAdoptedMknod) {
+  ParkingExecutor executor;
+  AtomFs::Options opts;
+  opts.executor = &executor;
+  opts.costs.lookup_ns = 1;  // charged after every lookup (no other cost is 1)
+  opts.costs.lookup_probe_ns = 0;
+  Build({}, std::move(opts));
+  ASSERT_TRUE(fs_->Mkdir("/a").ok());
+  ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
+  const std::vector<Inum> chain{kRootInum, InoOf("/a"), InoOf("/a/b")};
+  const RcuCounts before = Rcu();
+
+  OpThread mknod_op([&] { EXPECT_TRUE(fs_->Mknod("/a/b/f").ok()); });
+  // Lookups of a and b on the walk, then of f under b's lock, adopted.
+  executor.Arm(mknod_op.tid(), /*cost_ns=*/1, /*nth=*/3);
+  mknod_op.Go();
+  executor.WaitParked(mknod_op.tid());
+  {
+    auto d = monitor_->GetDescriptor(mknod_op.tid());
+    ASSERT_TRUE(d.has_value());
+    EXPECT_FALSE(d->optimistic);
+    EXPECT_EQ(d->path.inos, chain);
+  }
+
+  EXPECT_TRUE(fs_->Rename("/a", "/c").ok());
+  EXPECT_EQ(monitor_->helped_ops(), 1u);
+
+  executor.Open(mknod_op.tid());
+  mknod_op.Join();
+
+  ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
+  EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.attempts, 1u);
+  EXPECT_EQ(added.fallbacks, 0u);
+  EXPECT_EQ(added.unvalidated, 0u);
+  EXPECT_TRUE(fs_->Stat("/c/b/f").ok());
+  auto recs = monitor_->Completed();
+  EXPECT_EQ(ReplayOrder(HistoryFromRecords(recs), HelperOrder(recs)), std::nullopt);
+  EXPECT_NE(ReplayOrder(HistoryFromRecords(recs), FixedLpOrder(recs)), std::nullopt);
+  EXPECT_TRUE(CheckLinearizable(HistoryFromRecords(recs)).linearizable);
+}
+
+// A rename whose LP falls between a mutator's validation and its adoption
+// moved the chain while the mutator was not yet helpable. The re-check
+// inside the adoption sees the moved chain and withdraws it; the retry
+// misses /a and decides ENOENT after the rename, which is linearizable.
+TEST_F(ScenarioTest, AdoptionIsWithdrawnWhenTheChainMoved) {
+  Build();
+  ASSERT_TRUE(fs_->Mkdir("/a").ok());
+  ASSERT_TRUE(fs_->Mkdir("/a/b").ok());
+  const RcuCounts before = Rcu();
+
+  OpThread mknod_op(
+      [&] { EXPECT_EQ(fs_->Mknod("/a/b/f").code(), Errc::kNoEnt); });
+  gate_.Arm(mknod_op.tid(), GateObserver::Point::kOptValidated);
+  mknod_op.Go();
+  gate_.WaitParked(mknod_op.tid());  // validated, holding /a/b, not adopted
+
+  // The rename needs only the root and /a.
+  EXPECT_TRUE(fs_->Rename("/a", "/c").ok());
+  EXPECT_EQ(monitor_->helped_ops(), 0u);
+
+  gate_.Open(mknod_op.tid());
+  mknod_op.Join();
+
+  ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
+  EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
+  // The withdrawn adoption is the one failed attempt; the retry's validated
+  // miss (adopted at the root) decides.
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.attempts, 2u);
+  EXPECT_EQ(added.failures, 1u);
+  EXPECT_EQ(added.fallbacks, 0u);
+  EXPECT_EQ(added.unvalidated, 0u);
+  EXPECT_EQ(fs_->Stat("/c/b/f").status().code(), Errc::kNoEnt);
+}
+
+// The held rule protects adoptions as it protects reads. rmdir(/p/x/y)
+// lock-couples, parks holding /p/x and is helped by rename(/p, /q): its
+// removal of y already happened abstractly, not yet concretely. A
+// mknod(/q/x/y/f) must not be adopted through the held /p/x, where its
+// path leads to a directory the abstract tree no longer has; it falls
+// back, waits behind the rmdir and misses y.
+TEST_F(ScenarioTest, AdoptionRefusesAHeldAncestor) {
+  Build();
+  ASSERT_TRUE(fs_->Mkdir("/p").ok());
+  ASSERT_TRUE(fs_->Mkdir("/p/x").ok());
+  ASSERT_TRUE(fs_->Mkdir("/p/x/y").ok());
+  const Inum p = InoOf("/p");
+
+  OpThread rmdir_op([&] { EXPECT_TRUE(fs_->Rmdir("/p/x/y").ok()); });
+  gate_.Arm(rmdir_op.tid(), GateObserver::Point::kLockReleased, p);
+  StartOnLockedWalk(rmdir_op);
+  gate_.WaitParked(rmdir_op.tid());  // holds only /p/x
+  EXPECT_TRUE(fs_->Rename("/p", "/q").ok());
+  EXPECT_EQ(monitor_->helped_ops(), 1u);
+  const RcuCounts before = Rcu();
+
+  OpThread mknod_op([&] { EXPECT_EQ(fs_->Mknod("/q/x/y/f").code(), Errc::kNoEnt); });
+  mknod_op.Go();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Rcu().fallbacks == before.fallbacks && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate_.Open(rmdir_op.tid());
+  rmdir_op.Join();
+  mknod_op.Join();
+
+  ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
+  EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
+  const RcuCounts added = Rcu() - before;
+  EXPECT_EQ(added.attempts, 3u);
+  EXPECT_EQ(added.failures, 3u);
+  EXPECT_EQ(added.fallbacks, 1u);
+}
+
+// With validation skipped, an optimistic mknod(/a/f) that looked /a up
+// before rmdir(/a) removed it still locks the detached /a and is adopted
+// there: the create lands in a directory nobody can reach. The monitor
+// catches the adoption (not the abstract path) and the lost create
+// (concrete success, abstract ENOENT).
+TEST_F(ScenarioTest, SkippedValidationLosesACreateAndIsCaught) {
+  ParkingExecutor executor;
+  AtomFs::Options opts;
+  opts.executor = &executor;
+  opts.costs.lookup_ns = 1;
+  opts.costs.lookup_probe_ns = 0;
+  opts.unsafe_skip_opt_validation = true;
+  Build({}, std::move(opts));
+  ASSERT_TRUE(fs_->Mkdir("/a").ok());
+  ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
+  const RcuCounts before = Rcu();
+
+  OpThread mknod_op([&] { EXPECT_TRUE(fs_->Mknod("/a/f").ok()); });
+  executor.Arm(mknod_op.tid(), /*cost_ns=*/1);  // after the lookup of a, no lock held
+  mknod_op.Go();
+  executor.WaitParked(mknod_op.tid());
+
+  EXPECT_TRUE(fs_->Rmdir("/a").ok());
+
+  executor.Open(mknod_op.tid());
+  mknod_op.Join();
+
+  EXPECT_FALSE(monitor_->ok());
+  bool bad_adoption = false;
+  bool refinement = false;
+  for (const auto& v : monitor_->violations()) {
+    bad_adoption = bad_adoption || v.find("Opt-validation") != std::string::npos;
+    refinement = refinement || v.find("REFINEMENT") != std::string::npos;
+  }
+  EXPECT_TRUE(bad_adoption);
+  EXPECT_TRUE(refinement);
+  EXPECT_EQ((Rcu() - before).unvalidated, 2u);  // the rmdir's walk and the mknod's
+  EXPECT_FALSE(CheckLinearizable(HistoryFromRecords(monitor_->Completed())).linearizable);
+  EXPECT_EQ(fs_->Stat("/a").status().code(), Errc::kNoEnt);
 }
 
 // --- transaction isolation under the CRL-H monitor ---------------------------

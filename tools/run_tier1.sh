@@ -45,11 +45,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^pipeline_smoke$'
 echo "--- rcu-walk smoke stage (optimistic read path, validation gate) ---"
 # bench_server_throughput --rcu-smoke: a short traced fileserver run of the
 # default atomfs stack (RCU-walk always on) over the real wire. Fails unless
-# the optimistic path actually engaged (attempts > 0), every optimistic read
+# the optimistic path actually engaged (attempts > 0), every optimistic walk
 # was version-validated (core.rcuwalk.unvalidated_reads == 0 — the unsafe
 # skip-validation hook must never be live outside tests) and the counters
-# account for every read (attempts - validation_failures + fallbacks ==
-# reads).
+# account for every optimistic op, reads and adopted mutators alike
+# (attempts - validation_failures + fallbacks == optimistic ops).
 "$BUILD_DIR/bench/bench_server_throughput" --rcu-smoke --clients 2 --ops 150
 
 echo "--- sharded-namespace stage (4 shards, cross-shard migrations, monitored) ---"
