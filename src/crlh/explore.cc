@@ -85,18 +85,18 @@ void Accumulate(ExploreStats& stats, const RunOutcome& outcome,
   }
 }
 
-}  // namespace
-
-ExploreStats ExploreSchedules(const ConcurrentProgram& program, const ExploreOptions& options) {
+// The one schedule enumerator behind both exhaustive explorers. A work list
+// of script prefixes still to run; each run extends its script with default
+// decisions (0) and reports the fanouts, from which the untaken siblings are
+// enqueued. Every enumerated script is a unique schedule, so the tree is
+// covered exactly once. `run` executes one schedule and verifies it.
+template <typename RunFn>
+ExploreStats ExploreScripted(uint64_t max_executions, RunFn&& run) {
   ExploreStats stats;
-  // Work list of script prefixes still to run; each run extends its script
-  // with default decisions (0) and reports the fanouts, from which the
-  // untaken siblings are enqueued. Every enumerated script is a unique
-  // schedule, so the tree is covered exactly once.
   std::deque<std::vector<uint32_t>> pending;
   pending.push_back({});
   while (!pending.empty()) {
-    if (stats.executions >= options.max_executions) {
+    if (stats.executions >= max_executions) {
       return stats;  // budget exhausted; stats.exhausted stays false
     }
     std::vector<uint32_t> script = std::move(pending.front());
@@ -106,8 +106,7 @@ ExploreStats ExploreSchedules(const ConcurrentProgram& program, const ExploreOpt
     schedule.policy = SchedulePolicy::kScripted;
     schedule.script = script;
     schedule.yield_on_work = false;  // branch only at lock operations
-    RunOutcome outcome =
-        RunOnce(program, std::move(schedule), options.wing_gong, options.check_invariants);
+    RunOutcome outcome = run(std::move(schedule));
     Accumulate(stats, outcome, script);
 
     // Enqueue the untaken branches below this run's frontier.
@@ -124,8 +123,6 @@ ExploreStats ExploreSchedules(const ConcurrentProgram& program, const ExploreOpt
   stats.exhausted = true;
   return stats;
 }
-
-namespace {
 
 // One schedule of an uninstrumented fs: record (invoke, response)-stamped
 // history (setup ops as an already-completed sequential prefix), then check
@@ -195,35 +192,18 @@ RunOutcome RunOnceGeneric(const GenericFs& fs_factory, const ConcurrentProgram& 
 
 }  // namespace
 
+ExploreStats ExploreSchedules(const ConcurrentProgram& program, const ExploreOptions& options) {
+  return ExploreScripted(options.max_executions, [&](ScheduleOptions schedule) {
+    return RunOnce(program, std::move(schedule), options.wing_gong, options.check_invariants);
+  });
+}
+
 ExploreStats ExploreSchedulesWingGong(const GenericFs& fs_factory,
                                       const ConcurrentProgram& program,
                                       const ExploreOptions& options) {
-  ExploreStats stats;
-  std::deque<std::vector<uint32_t>> pending;
-  pending.push_back({});
-  while (!pending.empty()) {
-    if (stats.executions >= options.max_executions) {
-      return stats;
-    }
-    std::vector<uint32_t> script = std::move(pending.front());
-    pending.pop_front();
-    ScheduleOptions schedule;
-    schedule.policy = SchedulePolicy::kScripted;
-    schedule.script = script;
-    schedule.yield_on_work = false;
-    RunOutcome outcome = RunOnceGeneric(fs_factory, program, std::move(schedule));
-    Accumulate(stats, outcome, script);
-    for (size_t pos = script.size(); pos < outcome.trace.size(); ++pos) {
-      for (uint32_t choice = 1; choice < outcome.fanouts[pos]; ++choice) {
-        std::vector<uint32_t> child(outcome.trace.begin(),
-                                    outcome.trace.begin() + static_cast<ptrdiff_t>(pos));
-        child.push_back(choice);
-        pending.push_back(std::move(child));
-      }
-    }
-  }
-  stats.exhausted = true;
-  return stats;
+  return ExploreScripted(options.max_executions, [&](ScheduleOptions schedule) {
+    return RunOnceGeneric(fs_factory, program, std::move(schedule));
+  });
 }
 
 ExploreStats ExploreRandom(const ConcurrentProgram& program, uint64_t runs, uint64_t base_seed,

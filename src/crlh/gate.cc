@@ -1,8 +1,28 @@
 #include "src/crlh/gate.h"
 
-#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 namespace atomfs {
+namespace {
+
+const char* PointName(GateObserver::Point point) {
+  switch (point) {
+    case GateObserver::Point::kLockAcquired:
+      return "lock-acquired";
+    case GateObserver::Point::kLockReleased:
+      return "lock-released";
+    case GateObserver::Point::kLp:
+      return "LP";
+    case GateObserver::Point::kOpBegin:
+      return "op-begin";
+    case GateObserver::Point::kOptValidated:
+      return "opt-validated";
+  }
+  return "?";
+}
+
+}  // namespace
 
 void GateObserver::Arm(Tid tid, Point point, Inum ino) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -14,12 +34,23 @@ void GateObserver::Arm(Tid tid, Point point, Inum ino) {
   g.open = false;
 }
 
-void GateObserver::WaitParked(Tid tid) {
+void GateObserver::WaitParked(Tid tid, std::chrono::milliseconds bound) {
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    auto it = gates_.find(tid);
-    return it != gates_.end() && it->second.parked;
-  });
+  if (cv_.wait_for(lk, bound, [&] {
+        auto it = gates_.find(tid);
+        return it != gates_.end() && it->second.parked;
+      })) {
+    return;
+  }
+  auto it = gates_.find(tid);
+  const bool armed = it != gates_.end() && it->second.armed;
+  std::fprintf(stderr,
+               "GateObserver::WaitParked: tid %u never reached its %s gate (ino %llu) within "
+               "%lld ms\n",
+               static_cast<unsigned>(tid), armed ? PointName(it->second.point) : "unarmed",
+               static_cast<unsigned long long>(armed ? it->second.ino : kInvalidInum),
+               static_cast<long long>(bound.count()));
+  std::abort();
 }
 
 void GateObserver::Open(Tid tid) {
@@ -49,7 +80,7 @@ bool GateObserver::StartOnLockedWalk(OpThread& op, std::function<void()> hold_ro
   bool fell_back = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    fell_back = cv_.wait_for(lk, std::chrono::seconds(30),
+    fell_back = cv_.wait_for(lk, kGateWaitBound,
                              [&] { return fallbacks_[op.tid()] > before; });
   }
   Open(holder.tid());

@@ -14,6 +14,7 @@
 #ifndef ATOMFS_SRC_CRLH_GATE_H_
 #define ATOMFS_SRC_CRLH_GATE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -23,6 +24,9 @@
 #include "src/crlh/op_thread.h"
 
 namespace atomfs {
+
+// How long a gate waits for a thread to reach it before the test gives up.
+inline constexpr std::chrono::milliseconds kGateWaitBound = std::chrono::seconds(30);
 
 class GateObserver : public FsObserver {
  public:
@@ -39,8 +43,11 @@ class GateObserver : public FsObserver {
   // until Open(tid). For kLp / kOpBegin, `ino` is ignored.
   void Arm(Tid tid, Point point, Inum ino = kInvalidInum);
 
-  // Blocks the caller until `tid` is parked at its gate.
-  void WaitParked(Tid tid);
+  // Blocks the caller until `tid` is parked at its gate. If it has not parked
+  // within `bound`, the op never reached its gate: the process aborts with a
+  // message naming the tid and the armed point, rather than hanging until
+  // the test runner's timeout. (Tests of this abort pass a shorter bound.)
+  void WaitParked(Tid tid, std::chrono::milliseconds bound = kGateWaitBound);
 
   // Releases a parked (or future) gate for `tid`.
   void Open(Tid tid);
@@ -56,7 +63,8 @@ class GateObserver : public FsObserver {
   // `op`, waits until it falls back, then lets the holder finish. Gates
   // armed on `op` beforehand stay armed; its attempts lock and release only
   // the last node of its walk, so `op` must not be an ins/del directly
-  // under the root. Returns false if `op` did not fall back within 30 s.
+  // under the root. Returns false if `op` did not fall back within
+  // kGateWaitBound.
   bool StartOnLockedWalk(OpThread& op, std::function<void()> hold_root);
 
   // FsObserver.

@@ -42,8 +42,8 @@
 //      and delete a stale P.ckpt.tmp.
 //
 // Recovery cost is therefore bounded by the records written since the last
-// checkpoint, not by total history — the compaction claim the bench
-// (bench_server_throughput --txn) re-measures.
+// checkpoint, not by total history — the compaction claim perfbench's
+// txn-journal workload re-measures as journal.recover_ms.
 
 #ifndef ATOMFS_SRC_JOURNAL_CHECKPOINT_H_
 #define ATOMFS_SRC_JOURNAL_CHECKPOINT_H_

@@ -5,8 +5,8 @@
 //   * A trivially-correct reference implementation for differential tests.
 //   * The stand-in for the paper's slower verified comparator (DFSCQ) in the
 //     Figure 10 benchmark. DFSCQ's slowdown comes from Haskell extraction
-//     overhead; we model that with a configurable per-operation busy-wait
-//     (`overhead_ns`), documented in DESIGN.md / EXPERIMENTS.md.
+//     overhead; bench_fig10_apps models that by wrapping this file system in
+//     OverheadFs (src/vfs/overhead_fs.h), a per-operation modeled cost.
 
 #ifndef ATOMFS_SRC_NAIVE_NAIVE_FS_H_
 #define ATOMFS_SRC_NAIVE_NAIVE_FS_H_
@@ -22,10 +22,6 @@ class NaiveFs : public FileSystem {
  public:
   struct Options {
     Executor* executor = &Executor::Real();
-    // Extra modeled cost per operation (0 = plain reference FS). Under
-    // RealExecutor this busy-waits for the given wall time; under
-    // SimExecutor it charges virtual work.
-    uint64_t overhead_ns = 0;
   };
 
   NaiveFs();
@@ -59,8 +55,6 @@ class NaiveFs : public FileSystem {
   SpecFs SnapshotSpec() const { return spec_; }
 
  private:
-  void ChargeOverhead();
-
   Options opts_;
   std::unique_ptr<Lockable> lock_;
   SpecFs spec_;

@@ -16,6 +16,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -51,7 +53,12 @@ class ParkingExecutor : public Executor {
   }
   void WaitParked(Tid tid) {
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return gates_[tid].parked; });
+    if (!cv_.wait_for(lk, kGateWaitBound, [&] { return gates_[tid].parked; })) {
+      std::fprintf(stderr, "ParkingExecutor::WaitParked: tid %u never reached its Work(%llu)\n",
+                   static_cast<unsigned>(tid),
+                   static_cast<unsigned long long>(gates_[tid].cost_ns));
+      std::abort();
+    }
   }
   void Open(Tid tid) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -175,6 +182,27 @@ TEST_F(ScenarioTest, SequentialPrologueIsClean) {
   ASSERT_TRUE(monitor_->ok()) << monitor_->violations()[0];
   EXPECT_TRUE(monitor_->CheckQuiescent(fs_->SnapshotSpec()));
   EXPECT_EQ(monitor_->helped_ops(), 0u);
+}
+
+// A gate armed at a point the op never reaches (a lock on an inode that does
+// not exist) must fail the test within the wait bound, naming the tid and the
+// point, instead of hanging until the test runner's timeout.
+TEST(GateDeathTest, WaitParkedAbortsWhenTheOpNeverReachesItsGate) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_DEATH(
+      {
+        GateObserver gate;
+        AtomFs::Options opts;
+        opts.observer = &gate;
+        AtomFs fs(std::move(opts));
+        OpThread stat([&] { (void)fs.Stat("/"); });
+        gate.Arm(stat.tid(), GateObserver::Point::kLockAcquired, /*ino=*/4242);
+        stat.Go();
+        gate.WaitParked(stat.tid(), std::chrono::milliseconds(200));
+      },
+      "tid [0-9]+ never reached its lock-acquired gate \\(ino 4242\\)");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kGateWaitBound);
 }
 
 // Figure 4(a): ins(/a, c) runs concurrently with del(/, a)... here realized

@@ -1,9 +1,10 @@
 // End-to-end tests for the atomfsd serving layer: loopback round-trips of
 // every FileSystem and descriptor op through AtomFsClient, a POSIX
 // conformance subset run against the remote mount, survival under malformed
-// byte streams, graceful shutdown, and a multi-client concurrent stress with
-// the CRL-H monitor attached server-side (zero violations expected — the
-// serving layer must not weaken the linearizability the backend provides).
+// byte streams, graceful shutdown, a multi-client concurrent stress with the
+// CRL-H monitor attached server-side (zero violations expected — the serving
+// layer must not weaken the linearizability the backend provides), and the
+// RCU-walk counters fetched over the wire accounting for every optimistic op.
 
 #include "src/server/server.h"
 
@@ -25,8 +26,11 @@
 
 #include "src/client/client.h"
 #include "src/core/atom_fs.h"
+#include "src/crlh/gate.h"
 #include "src/crlh/monitor.h"
+#include "src/crlh/op_thread.h"
 #include "src/obs/metrics.h"
+#include "src/obs/tracer.h"
 #include "src/txn/txn.h"
 #include "src/util/rand.h"
 #include "src/workload/filebench.h"
@@ -1113,6 +1117,122 @@ TEST_F(ServerTest, MultiClientStressUnderMonitorHasNoViolations) {
   EXPECT_TRUE(monitor.CheckQuiescent(fs.SnapshotSpec()));
   EXPECT_TRUE(monitor.ok()) << monitor.violations().front();
   EXPECT_TRUE(monitor.violations().empty());
+}
+
+// --- RCU-walk accounting over the wire ---------------------------------------
+
+// RCU-walk is on in every AtomFs, so a short traced fileserver run over the
+// real wire must show the optimistic walk engaged, never bypassing
+// validation, and accounting for every op that walks optimistically (every
+// single-path op: reads, and the mutators, whose validated walks are
+// adopted). Each such op ends in exactly one passing attempt (a validated
+// miss and an adoption included) or one fallback, and each failed attempt (a
+// retracted read or a withdrawn adoption included) is an interior retry, so
+// attempts - validation_failures + fallbacks equals the optimistic ops
+// served. The fileserver profile never creates or removes the root itself,
+// the one single-path case that fails before it walks.
+TEST_F(ServerTest, RcuWalkCountersAccountForEveryOptimisticOp) {
+  MetricsRegistry registry;
+  TracingObserver tracer(&registry);
+  GateObserver gate;
+  TeeObserver tee(&tracer, &gate);
+  AtomFs::Options fs_options;
+  fs_options.observer = &tee;
+  AtomFs fs(std::move(fs_options));
+  sock_path_ = UniqueSocketPath("rcu");
+  ServerOptions options;
+  options.unix_path = sock_path_;
+  options.metrics = &registry;
+  server_ = std::make_unique<AtomFsServer>(&fs, options);
+  ASSERT_TRUE(server_->Start().ok());
+
+  // Populate directly on the backend; the setup's ops are counted too.
+  const FilebenchProfile profile = FilebenchProfile::Fileserver();
+  FilebenchSetup(fs, profile, /*seed=*/7);
+
+  constexpr int kClients = 2;
+  constexpr uint64_t kOpsPerClient = 150;
+  std::vector<std::unique_ptr<AtomFsClient>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(Client());
+  }
+  std::vector<std::future<WorkerStats>> results;
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    std::packaged_task<WorkerStats()> task([&, c] {
+      return FilebenchWorker(*clients[static_cast<size_t>(c)], profile,
+                             /*seed=*/1000 + static_cast<uint64_t>(c), kOpsPerClient);
+    });
+    results.push_back(task.get_future());
+    workers.emplace_back(std::move(task));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool in_time = true;
+  for (auto& r : results) {
+    in_time = in_time && r.wait_until(deadline) == std::future_status::ready;
+  }
+  if (!in_time) {
+    server_->Stop();  // fails every pending call, so the workers return
+  }
+  for (auto& t : workers) {
+    t.join();
+  }
+  ASSERT_TRUE(in_time) << "the filebench workers did not finish within 30 s";
+  uint64_t worker_failures = 0;
+  for (auto& r : results) {
+    worker_failures += r.get().failures;
+  }
+  EXPECT_EQ(worker_failures, 0u);
+
+  // That load is too light to contend, so none of its ops falls back. Force
+  // one fallback over the wire so the identity covers that term too: park a
+  // holder on the root lock (a held ancestor fails every optimistic
+  // attempt), send a stat, and let the holder go once every attempt of the
+  // stat has failed; it then falls back and waits for the root.
+  const auto failures_now = [&registry] {
+    return registry.Snapshot().CounterValue("core.rcuwalk.validation_failures");
+  };
+  const uint64_t failures_before = failures_now();
+  OpThread holder([&] { EXPECT_TRUE(fs.Stat("/").ok()); });
+  gate.Arm(holder.tid(), GateObserver::Point::kLockAcquired, kRootInum);
+  holder.Go();
+  gate.WaitParked(holder.tid());
+  std::thread contender([&] { EXPECT_TRUE(clients.back()->Stat("/fb").ok()); });
+  const auto failed_by = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (failures_now() < failures_before + AtomFs::kRcuWalkAttempts &&
+         std::chrono::steady_clock::now() < failed_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open(holder.tid());
+  holder.Join();
+  contender.join();
+  EXPECT_EQ(failures_now() - failures_before, AtomFs::kRcuWalkAttempts)
+      << "the stat behind a held root did not fail every optimistic attempt";
+
+  // The counters as an operator sees them: a METRICS fetch over the wire.
+  auto remote = clients.front()->FetchMetrics();
+  server_->Stop();
+  ASSERT_TRUE(remote.ok());
+  auto served = [&remote](const char* kind) -> uint64_t {
+    const HistogramSnapshot* h =
+        remote->FindHistogram("fs.op." + std::string(kind) + ".latency_ns");
+    return h != nullptr ? h->count : 0;
+  };
+  uint64_t optimistic_ops = 0;
+  for (const char* kind : {"stat", "readdir", "read", "mkdir", "mknod", "rmdir", "unlink",
+                           "write", "truncate"}) {
+    optimistic_ops += served(kind);
+  }
+  const uint64_t attempts = remote->CounterValue("core.rcuwalk.attempts");
+  const uint64_t failures = remote->CounterValue("core.rcuwalk.validation_failures");
+  const uint64_t fallbacks = remote->CounterValue("core.rcuwalk.fallbacks");
+  EXPECT_GT(attempts, 0u) << "no optimistic walk attempts recorded";
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_EQ(remote->CounterValue("core.rcuwalk.unvalidated_reads"), 0u)
+      << "the unsafe skip-validation hook must never be live outside tests";
+  EXPECT_EQ(attempts - failures + fallbacks, optimistic_ops)
+      << attempts << " attempts, " << failures << " validation failures, " << fallbacks
+      << " fallbacks";
 }
 
 // --- transactions over the wire ----------------------------------------------

@@ -195,14 +195,5 @@ TEST(RetryFsTest, ConcurrentStressKeepsTreeWellFormed) {
   EXPECT_TRUE(fs.SnapshotSpec().WellFormed());
 }
 
-TEST(NaiveFsTest, OverheadKnobDoesNotChangeSemantics) {
-  NaiveFs::Options opts;
-  opts.overhead_ns = 100;
-  NaiveFs fs(opts);
-  EXPECT_TRUE(fs.Mkdir("/d").ok());
-  EXPECT_TRUE(fs.Mknod("/d/f").ok());
-  EXPECT_EQ(fs.Stat("/d")->size, 1u);
-}
-
 }  // namespace
 }  // namespace atomfs

@@ -43,14 +43,16 @@ echo "--- pipelined serving stage (64 connections x 8 in flight, monitored) ---"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^pipeline_smoke$'
 
 echo "--- rcu-walk smoke stage (optimistic read path, validation gate) ---"
-# bench_server_throughput --rcu-smoke: a short traced fileserver run of the
-# default atomfs stack (RCU-walk always on) over the real wire. Fails unless
-# the optimistic path actually engaged (attempts > 0), every optimistic walk
-# was version-validated (core.rcuwalk.unvalidated_reads == 0 — the unsafe
+# server_test's RcuWalkCountersAccountForEveryOptimisticOp: a short traced
+# fileserver run of the default atomfs stack (RCU-walk always on) over the
+# real wire, counters fetched with METRICS. Fails unless the optimistic path
+# actually engaged (attempts > 0), every optimistic walk was
+# version-validated (core.rcuwalk.unvalidated_reads == 0 — the unsafe
 # skip-validation hook must never be live outside tests) and the counters
 # account for every optimistic op, reads and adopted mutators alike
 # (attempts - validation_failures + fallbacks == optimistic ops).
-"$BUILD_DIR/bench/bench_server_throughput" --rcu-smoke --clients 2 --ops 150
+"$BUILD_DIR/tests/server_test" \
+  --gtest_filter='ServerTest.RcuWalkCountersAccountForEveryOptimisticOp'
 
 echo "--- sharded-namespace stage (4 shards, cross-shard migrations, monitored) ---"
 # tools/shard_smoke.sh: a monitored atomfsd --fs-shards 4 driven with
