@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "src/afs/op.h"
@@ -260,15 +259,6 @@ WalScan ScanWalBytes(std::string_view bytes) {
   return scan;
 }
 
-Result<WalScan> ScanWal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Errc::kNoEnt;
-  }
-  std::string bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>{});
-  return ScanWalBytes(bytes);
-}
-
 WalRecoveryStats RecoverWalBytes(std::string_view bytes, FileSystem& fs) {
   const WalScan scan = ScanWalBytes(bytes);
   WalRecoveryStats stats;
@@ -350,15 +340,6 @@ WalRecoveryStats RecoverWalBytes(std::string_view bytes, FileSystem& fs) {
   // the crash beat their commit record, so they are invisible — whole.
   stats.discarded = open.size();
   return stats;
-}
-
-Result<WalRecoveryStats> RecoverWal(const std::string& path, FileSystem& fs) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Errc::kNoEnt;
-  }
-  std::string bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>{});
-  return RecoverWalBytes(bytes, fs);
 }
 
 }  // namespace atomfs

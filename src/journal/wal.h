@@ -1,5 +1,5 @@
-// Record-oriented write-ahead log shared by JournalFs (auto-committed single
-// ops) and TxnManager (multi-op transactions, src/txn).
+// Record-oriented write-ahead log written by TxnManager (src/txn): its
+// auto-committed direct ops and its multi-op transactions share one log.
 //
 // On-disk format — a flat sequence of checksummed binary records:
 //
@@ -16,7 +16,7 @@
 //
 // txid 0 is reserved for auto-committed standalone operations: an op record
 // with txid 0 is durable (and replayed at recovery) on its own, with no
-// begin/commit bracket — exactly the JournalFs durability contract. Records
+// begin/commit bracket — the contract of TxnManager's direct ops. Records
 // with txid > 0 belong to a transaction and become visible atomically at
 // their commit record, in log order; a begin without a commit (the crash
 // case) and an aborted group are discarded whole.
@@ -47,7 +47,7 @@
 //     kIo status and the owner must fail-stop the journal (no further
 //     commits) rather than diverge from the log.
 //
-// Recovery is prefix-exact: ScanWal parses records until the first torn,
+// Recovery is prefix-exact: ScanWalBytes parses records until the first torn,
 // truncated, or checksum-failed record and ignores everything from there on.
 // Cutting the log at ANY byte offset therefore yields a clean prefix of
 // complete records — the property tests/crash_injection_test.cc sweeps.
@@ -109,8 +109,8 @@ struct WalWriterOptions {
 };
 
 // Append-side handle over an O_APPEND file descriptor. Not internally
-// synchronized: callers (JournalFs, TxnManager) already serialize appends
-// under their own mutex. See the durability contract in the header comment.
+// synchronized: the caller (TxnManager) already serializes appends under
+// its commit mutex. See the durability contract in the header comment.
 class WalWriter {
  public:
   // Opens `path` for append, creating it if missing.
@@ -164,11 +164,9 @@ struct WalScan {
   bool torn_tail = false;
 };
 
-// Parses the log at `path`. kNoEnt if the file does not exist; an empty file
-// scans to an empty record list. Never fails on corrupt bytes — they just
-// end the clean prefix.
-Result<WalScan> ScanWal(const std::string& path);
-// Same, over in-memory bytes (the crash harness scans truncated copies).
+// Parses in-memory log bytes (a whole file, or a truncated copy in the crash
+// harness); empty bytes scan to an empty record list. Never fails on
+// corrupt bytes — they just end the clean prefix.
 WalScan ScanWalBytes(std::string_view bytes);
 
 struct WalRecoveryStats {
@@ -180,24 +178,23 @@ struct WalRecoveryStats {
   bool torn_tail = false;
   // Largest transaction id seen anywhere in the clean prefix, including
   // dangling begins (ckpt markers excluded — their txid field is a
-  // checkpoint id, a separate counter). A writer reopening this log MUST
-  // allocate ids above it (TxnManager::Options::first_txid): reusing the id
+  // checkpoint id, a separate counter). A writer reopening this log must
+  // allocate ids above it (TxnManager::Options::recovered): reusing the id
   // of a discarded transaction would make the reused begin look like a
   // duplicate bracket on the next recovery, which stops the replay at that
   // record.
   uint64_t max_txid = 0;
 };
 
-// Replays the log at `path` onto `fs`: auto-committed ops in log order,
+// Replays log bytes onto `fs`: auto-committed ops in log order,
 // transactions atomically at their commit record's position; ckpt markers
 // are skipped. A logged op that fails to re-apply, or a transactional
 // record sequence that is internally inconsistent (an op or commit with no
 // begin), ends recovery at the last good unit — the log can no longer be
-// trusted past that point. Callers with a checkpoint sidecar should use
-// RecoverJournal (src/journal/checkpoint.h) instead, which layers
-// checkpoint loading + fallback on top of this replay.
-Result<WalRecoveryStats> RecoverWal(const std::string& path, FileSystem& fs);
-// Same, over in-memory bytes.
+// trusted past that point. This is the byte-level primitive; a journal on
+// disk is recovered only through RecoverJournal (src/journal/checkpoint.h),
+// which reads the WAL files and layers checkpoint loading + fallback on top
+// of this replay.
 WalRecoveryStats RecoverWalBytes(std::string_view bytes, FileSystem& fs);
 
 }  // namespace atomfs

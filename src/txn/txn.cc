@@ -38,11 +38,13 @@ TxnManager::TxnManager(Options options)
       fsync_commits_(options.fsync_commits),
       checkpoint_bytes_(options.checkpoint_bytes),
       checkpoint_units_(options.checkpoint_units),
-      mirror_(std::move(options.initial)),
-      next_txid_(options.first_txid < 1 ? 1 : options.first_txid),
-      next_ckpt_id_(options.first_ckpt_id < 1 ? 1 : options.first_ckpt_id),
-      recovered_units_(options.recovered_units) {
+      mirror_(std::move(options.initial)) {
   ATOMFS_CHECK(inner_ != nullptr);
+  if (const JournalRecoveryStats* r = options.recovered; r != nullptr) {
+    next_txid_ = r->max_txid + 1;
+    next_ckpt_id_ = r->generation + 1;
+    recovered_units_ = r->committed_units;
+  }
   if (!options.wal_path.empty()) {
     wal_ = std::make_unique<WalWriter>(options.wal_path, std::move(options.wal));
     ATOMFS_CHECK(wal_->ok() && "cannot open transaction WAL for append");
@@ -367,10 +369,12 @@ Status TxnManager::Commit(TxnId id) {
 
 // --- direct (auto-committed) ops ---------------------------------------------
 
-Status TxnManager::Direct(const OpCall& call) {
+OpResult TxnManager::Direct(const OpCall& call) {
   std::lock_guard<std::mutex> lk(mu_);
   if (JournalFailedLocked()) {
-    return Status(Errc::kIo);
+    OpResult failed;
+    failed.status = Status(Errc::kIo);
+    return failed;
   }
   OpResult result = RunOp(*inner_, call);
   if (result.status.ok()) {
@@ -379,7 +383,8 @@ Status TxnManager::Direct(const OpCall& call) {
     // poisoned writer fail-stops every later mutation, confining the
     // one-op divergence between memory and log until restart.
     if (Status logged = LogCommittedLocked(/*id=*/0, {call}); !logged.ok()) {
-      return logged;
+      result.status = logged;
+      return result;
     }
     const Status mirror_st = RunOp(mirror_, call).status;
     ATOMFS_CHECK(mirror_st.ok() && "mirror diverged from inner fs");
@@ -387,46 +392,34 @@ Status TxnManager::Direct(const OpCall& call) {
     RecordUnitLocked(/*id=*/0, {call});
     MaybeCheckpointLocked();
   }
-  return result.status;
+  return result;
 }
 
-Status TxnManager::Mkdir(const Path& path) { return Direct(OpCall::MkdirOf(path)); }
-Status TxnManager::Mknod(const Path& path) { return Direct(OpCall::MknodOf(path)); }
-Status TxnManager::Rmdir(const Path& path) { return Direct(OpCall::RmdirOf(path)); }
-Status TxnManager::Unlink(const Path& path) { return Direct(OpCall::UnlinkOf(path)); }
+Status TxnManager::Mkdir(const Path& path) { return Direct(OpCall::MkdirOf(path)).status; }
+Status TxnManager::Mknod(const Path& path) { return Direct(OpCall::MknodOf(path)).status; }
+Status TxnManager::Rmdir(const Path& path) { return Direct(OpCall::RmdirOf(path)).status; }
+Status TxnManager::Unlink(const Path& path) { return Direct(OpCall::UnlinkOf(path)).status; }
 
 Status TxnManager::Rename(const Path& src, const Path& dst) {
-  return Direct(OpCall::RenameOf(src, dst));
+  return Direct(OpCall::RenameOf(src, dst)).status;
 }
 
 Status TxnManager::Exchange(const Path& a, const Path& b) {
-  return Direct(OpCall::ExchangeOf(a, b));
+  return Direct(OpCall::ExchangeOf(a, b)).status;
 }
 
 Status TxnManager::Truncate(const Path& path, uint64_t size) {
-  return Direct(OpCall::TruncateOf(path, size));
+  return Direct(OpCall::TruncateOf(path, size)).status;
 }
 
 Result<size_t> TxnManager::Write(const Path& path, uint64_t offset,
                                  std::span<const std::byte> data) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (JournalFailedLocked()) {
-    return Errc::kIo;
+  const OpResult r =
+      Direct(OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end())));
+  if (!r.status.ok()) {
+    return r.status;
   }
-  auto written = inner_->Write(path, offset, data);
-  if (written.ok()) {
-    const OpCall call =
-        OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end()));
-    if (Status logged = LogCommittedLocked(/*id=*/0, {call}); !logged.ok()) {
-      return logged;  // see Direct: not durable, journal fail-stopped
-    }
-    const Status mirror_st = RunOp(mirror_, call).status;
-    ATOMFS_CHECK(mirror_st.ok() && "mirror diverged from inner fs");
-    BumpVersionsLocked(FootprintOf(call));
-    RecordUnitLocked(/*id=*/0, {call});
-    MaybeCheckpointLocked();
-  }
-  return written;
+  return static_cast<size_t>(r.nbytes);
 }
 
 // Direct reads bypass the commit lock: they are linearized by the inner FS

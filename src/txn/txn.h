@@ -8,7 +8,10 @@
 //   * TxnManager is itself a FileSystem. Ops called directly on it are
 //     auto-committed single-op transactions: they run on the inner FS under
 //     the commit lock, are journaled as txid-0 WAL records, and bump the
-//     conflict clocks so open transactions observe them.
+//     conflict clocks so open transactions observe them. They are the only
+//     auto-commit journal front end: a WAL is written only by a TxnManager
+//     and read back only by RecoverJournal (src/journal/checkpoint.h),
+//     whose stats reopen it through Options::recovered.
 //   * Begin() clones the committed abstract state (a SpecFs mirror of the
 //     inner FS) into a private per-transaction view: snapshot isolation with
 //     read-your-writes. Ops applied via Apply() execute against the view and
@@ -103,12 +106,6 @@ class TxnManager : public FileSystem, public TxnHost {
     // Record every committed unit in commit_log() — required by the crash
     // harness and tests, unbounded memory on a long-running server.
     bool record_commit_log = false;
-    // First transaction id to hand out. When reopening an existing WAL this
-    // MUST be above every txid already in the log
-    // (WalRecoveryStats::max_txid + 1): a discarded transaction's begin
-    // record survives in the clean prefix, and reusing its id would read as
-    // a duplicate bracket on the next recovery. Values below 1 clamp to 1.
-    TxnId first_txid = 1;
     // fdatasync the WAL at every commit point: commits then survive power
     // loss, not just a process kill. Off by default — tests and the crash
     // harness model page-cache loss by cutting the log at byte offsets,
@@ -120,14 +117,14 @@ class TxnManager : public FileSystem, public TxnHost {
     // works explicitly.
     uint64_t checkpoint_bytes = 0;
     uint64_t checkpoint_units = 0;
-    // Id for the next checkpoint. When reopening a journal this MUST be
-    // above every generation on disk (JournalRecoveryStats::generation + 1)
-    // so checkpoint ids stay monotonic. Values below 1 clamp to 1.
-    uint64_t first_ckpt_id = 1;
-    // Committed units already folded into the recovered state
-    // (JournalRecoveryStats::committed_units) — carried into checkpoint
-    // headers so the cumulative count survives compaction.
-    uint64_t recovered_units = 0;
+    // What RecoverJournal reported for the journal at `wal_path` when
+    // reopening it; nullptr for a fresh journal. Read only by the
+    // constructor: transaction ids continue above max_txid (a discarded
+    // transaction's begin survives in the clean prefix, and reusing its id
+    // would read as a duplicate bracket on the next recovery), checkpoint
+    // ids above generation, and checkpoint headers carry committed_units
+    // forward so the cumulative count survives compaction.
+    const JournalRecoveryStats* recovered = nullptr;
     // Forwarded to the WalWriter (fault injection in tests).
     WalWriterOptions wal;
   };
@@ -220,7 +217,8 @@ class TxnManager : public FileSystem, public TxnHost {
   Status LogCommittedLocked(TxnId id, const std::vector<OpCall>& ops);
   void RecordUnitLocked(TxnId id, const std::vector<OpCall>& ops);
   void GhostEvent(TraceEventType type, TxnId id, uint64_t arg, uint64_t aux);
-  Status Direct(const OpCall& call);
+  // Runs one auto-committed op: inner FS first, then its txid-0 WAL record.
+  OpResult Direct(const OpCall& call);
   Status CheckpointLocked();
   // Threshold check after each committed unit; best-effort (a failed
   // checkpoint write leaves the journal valid, just uncompacted).

@@ -10,55 +10,23 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "src/core/atom_fs.h"
 #include "src/txn/txn.h"
+#include "tests/temp_journal.h"
 
 namespace atomfs {
 namespace {
 
-// A journal path plus all its sidecar files, cleaned up on both ends.
-class TempJournal {
- public:
-  explicit TempJournal(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    RemoveAll();
-  }
-  ~TempJournal() { RemoveAll(); }
-
-  const std::string& path() const { return path_; }
-
-  void RemoveAll() const {
-    for (const std::string& p :
-         {path_, PrevWalPath(path_), CheckpointPath(path_), PrevCheckpointPath(path_),
-          TmpCheckpointPath(path_)}) {
-      std::remove(p.c_str());
-    }
-  }
-
-  static std::string ReadFile(const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-
-  static void WriteFile(const std::string& p, const std::string& bytes) {
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-
-  static void FlipByte(const std::string& p, size_t offset_from_end) {
-    std::string bytes = ReadFile(p);
-    ASSERT_GT(bytes.size(), offset_from_end);
-    const size_t i = bytes.size() - 1 - offset_from_end;
-    bytes[i] = static_cast<char>(~bytes[i]);
-    WriteFile(p, bytes);
-  }
-
- private:
-  std::string path_;
-};
+// Flips the byte `offset_from_end` bytes before the end of file `p`.
+void FlipByte(const std::string& p, size_t offset_from_end) {
+  std::string bytes = TempJournal::ReadFile(p);
+  ASSERT_GT(bytes.size(), offset_from_end);
+  const size_t i = bytes.size() - 1 - offset_from_end;
+  bytes[i] = static_cast<char>(~bytes[i]);
+  TempJournal::WriteFile(p, bytes);
+}
 
 Checkpoint SampleCheckpoint() {
   SpecFs state;
@@ -283,8 +251,7 @@ TEST(CheckpointRecovery, InterruptedRotationIsCompleted) {
     TxnManager::Options topt;
     topt.inner = &inner2;
     topt.wal_path = j.path();
-    topt.first_ckpt_id = stats->generation + 1;
-    topt.recovered_units = stats->committed_units;
+    topt.recovered = &*stats;
     TxnManager txn(topt);
     ASSERT_TRUE(txn.Mkdir("/after_repair").ok());
   }
@@ -313,7 +280,7 @@ TEST(CheckpointRecovery, CorruptNewestFallsBackToPrev) {
   // Rot the newest checkpoint: recovery must fall back to .prev and replay
   // BOTH WAL generations (prevwal carries ckpt-1..ckpt-2 history, live the
   // rest) to reach the same state.
-  TempJournal::FlipByte(CheckpointPath(j.path()), 2);
+  FlipByte(CheckpointPath(j.path()), 2);
   AtomFs recovered;
   auto stats = RecoverJournal(j.path(), recovered);
   ASSERT_TRUE(stats.ok());
@@ -337,8 +304,8 @@ TEST(CheckpointRecovery, BothCheckpointsCorruptIsLoud) {
     RunUnits(txn, 2, 2);
     ASSERT_TRUE(txn.TakeCheckpoint().ok());
   }
-  TempJournal::FlipByte(CheckpointPath(j.path()), 2);
-  TempJournal::FlipByte(PrevCheckpointPath(j.path()), 2);
+  FlipByte(CheckpointPath(j.path()), 2);
+  FlipByte(PrevCheckpointPath(j.path()), 2);
   // The live WAL demands generation 2, no readable checkpoint provides it:
   // better a loud kIo than a silently partial recovery.
   AtomFs recovered;
@@ -390,7 +357,7 @@ TEST(CheckpointRecovery, RepairTruncatesTornLiveTail) {
     TxnManager::Options topt;
     topt.inner = &inner2;
     topt.wal_path = j.path();
-    topt.first_ckpt_id = stats->generation + 1;
+    topt.recovered = &*stats;
     TxnManager txn(topt);
     ASSERT_TRUE(txn.Mkdir("/post_tear").ok());
   }
@@ -416,9 +383,7 @@ TEST(CheckpointRecovery, ReopenCycleKeepsIdsMonotonic) {
     topt.wal_path = j.path();
     if (stats.ok()) {
       topt.initial = inner.SnapshotSpec();
-      topt.first_txid = stats->max_txid + 1;
-      topt.first_ckpt_id = stats->generation + 1;
-      topt.recovered_units = stats->committed_units;
+      topt.recovered = &*stats;
     } else {
       ASSERT_EQ(stats.status().code(), Errc::kNoEnt);
     }

@@ -14,10 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -26,22 +23,10 @@
 #include "src/journal/checkpoint.h"
 #include "src/journal/wal.h"
 #include "src/vfs/path.h"
+#include "tests/temp_journal.h"
 
 namespace atomfs {
 namespace {
-
-class TempLog {
- public:
-  explicit TempLog(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~TempLog() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
@@ -70,7 +55,7 @@ void ExpectNoDivergence(const CrashVerdict& verdict) {
 }
 
 TEST(CrashInjection, EveryCrashPointRecoversPrefixConsistent) {
-  TempLog log("atomfs_crash_sweep.wal");
+  TempJournal log("atomfs_crash_sweep.wal");
   auto mix = BuildCrashMix(log.path(), MixFromEnv(/*seed=*/1));
   ASSERT_TRUE(mix.ok());
   ASSERT_FALSE(mix->commit_log.empty());
@@ -84,7 +69,7 @@ TEST(CrashInjection, EveryCrashPointRecoversPrefixConsistent) {
 
 TEST(CrashInjection, SweepHoldsAcrossSeeds) {
   for (uint64_t seed = 2; seed <= 4; ++seed) {
-    TempLog log("atomfs_crash_seed" + std::to_string(seed) + ".wal");
+    TempJournal log("atomfs_crash_seed" + std::to_string(seed) + ".wal");
     CrashMixOptions mopts = MixFromEnv(seed);
     mopts.txns = std::max(1, mopts.txns / 2);
     auto mix = BuildCrashMix(log.path(), mopts);
@@ -96,7 +81,7 @@ TEST(CrashInjection, SweepHoldsAcrossSeeds) {
 }
 
 TEST(CrashInjection, AbortHeavyMixNeverLeaksAbortedOps) {
-  TempLog log("atomfs_crash_aborts.wal");
+  TempJournal log("atomfs_crash_aborts.wal");
   CrashMixOptions mopts = MixFromEnv(/*seed=*/7);
   mopts.abort_percent = 80;  // most transactions roll back
   auto mix = BuildCrashMix(log.path(), mopts);
@@ -109,7 +94,7 @@ TEST(CrashInjection, AbortHeavyMixNeverLeaksAbortedOps) {
 TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
   // Crash mid-log, recover, keep journaling into the same (truncated) file:
   // the second generation's commits must land after the survived prefix.
-  TempLog log("atomfs_crash_reopen.wal");
+  TempJournal log("atomfs_crash_reopen.wal");
   CrashMixOptions mopts = MixFromEnv(/*seed=*/5);
   mopts.txns = std::max(1, mopts.txns / 4);
   auto mix = BuildCrashMix(log.path(), mopts);
@@ -119,17 +104,14 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
   const WalScan scan = ScanWalBytes(mix->wal_bytes);
   ASSERT_GT(scan.records.size(), 2u);
   const uint64_t cut = scan.records[scan.records.size() / 2].end_offset;
-  {
-    std::ofstream out(log.path(), std::ios::binary | std::ios::trunc);
-    out << mix->wal_bytes.substr(0, cut);
-  }
+  TempJournal::WriteFile(log.path(), mix->wal_bytes.substr(0, cut));
 
   AtomFs recovered;
-  auto stats = RecoverWal(log.path(), recovered);
+  auto stats = RecoverJournal(log.path(), recovered, /*repair=*/true);
   ASSERT_TRUE(stats.ok());
-  ASSERT_LT(stats->committed, mix->commit_log.size() + 1);
-  ASSERT_TRUE(
-      StructurallyEqual(recovered.SnapshotSpec(), PrefixState(mix->commit_log, stats->committed)));
+  ASSERT_LT(stats->committed_units, mix->commit_log.size() + 1);
+  ASSERT_TRUE(StructurallyEqual(recovered.SnapshotSpec(),
+                                PrefixState(mix->commit_log, stats->committed_units)));
 
   // Second generation: journal a few more committed units into the same log.
   {
@@ -139,7 +121,7 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
     topt.initial = recovered.SnapshotSpec();
     // The cut can strand a begin record in the surviving prefix; ids must
     // continue above it or the dangling bracket swallows the new commits.
-    topt.first_txid = stats->max_txid + 1;
+    topt.recovered = &*stats;
     TxnManager txn(topt);
     ASSERT_TRUE(txn.Mkdir(*ParsePath("/gen2")).ok());
     const TxnId id = *txn.Begin();
@@ -147,9 +129,9 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
     ASSERT_TRUE(txn.Commit(id).ok());
   }
   AtomFs final_state;
-  auto final_stats = RecoverWal(log.path(), final_state);
+  auto final_stats = RecoverJournal(log.path(), final_state);
   ASSERT_TRUE(final_stats.ok());
-  EXPECT_EQ(final_stats->committed, stats->committed + 2);
+  EXPECT_EQ(final_stats->committed_units, stats->committed_units + 2);
   EXPECT_TRUE(final_state.Stat("/gen2/f").ok());
   EXPECT_TRUE(StructurallyEqual(final_state.SnapshotSpec(), recovered.SnapshotSpec()));
 }
@@ -160,10 +142,7 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
 // state plus a prefix of the post-checkpoint suffix — the compaction
 // machinery must not open any new crash window.
 TEST(CrashInjection, CheckpointBoundarySweepIsPrefixConsistent) {
-  TempLog log("atomfs_crash_ckpt_sweep.wal");
-  std::remove((log.path() + ".prevwal").c_str());
-  std::remove((log.path() + ".ckpt").c_str());
-  std::remove((log.path() + ".ckpt.prev").c_str());
+  TempJournal log("atomfs_crash_ckpt_sweep.wal");
   std::vector<CommitDescriptor> commit_log;
   uint64_t pre_ckpt_units = 0;
   {
@@ -190,17 +169,10 @@ TEST(CrashInjection, CheckpointBoundarySweepIsPrefixConsistent) {
     commit_log = txn.commit_log();
   }
   ASSERT_EQ(commit_log.size(), pre_ckpt_units + 4);
-  std::string live;
-  {
-    std::ifstream in(log.path(), std::ios::binary);
-    live.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+  const std::string live = log.Contents();
   ASSERT_FALSE(live.empty());
   for (size_t cut = 0; cut <= live.size(); ++cut) {
-    {
-      std::ofstream out(log.path(), std::ios::binary | std::ios::trunc);
-      out << live.substr(0, cut);
-    }
+    TempJournal::WriteFile(log.path(), live.substr(0, cut));
     AtomFs recovered;
     auto stats = RecoverJournal(log.path(), recovered);
     ASSERT_TRUE(stats.ok()) << "cut at " << cut;
@@ -217,7 +189,7 @@ TEST(CrashInjection, CheckpointBoundarySweepIsPrefixConsistent) {
 // emits a bundle that ReplayBundle reproduces offline — the same artifact
 // pipeline monitor violations use (atomfs_verify --bundle).
 TEST(CrashInjection, InjectedDivergenceProducesReplayableBundle) {
-  TempLog log("atomfs_crash_bundle.wal");
+  TempJournal log("atomfs_crash_bundle.wal");
   CrashMixOptions mopts = MixFromEnv(/*seed=*/11);
   mopts.txns = std::max(1, mopts.txns / 4);
   auto mix = BuildCrashMix(log.path(), mopts);

@@ -1,69 +1,55 @@
-// Tests for the operation-log durability layer (src/journal): logging,
-// recovery, and crash simulation — the log is cut at arbitrary byte offsets
-// and recovery must always yield a state equal to replaying some prefix of
-// the logged mutation history (prefix consistency).
-
-#include "src/journal/journal_fs.h"
+// Tests for the journal (src/journal) as TxnManager's direct ops write it:
+// every successful mutation is one auto-committed (txid 0) WAL record, and
+// RecoverJournal replays the log. Covers logging, recovery, reopening, and
+// crash simulation — the log is cut at every byte offset and recovery must
+// always yield the state of replaying exactly the records wholly before the
+// cut (prefix consistency). The Wal.* cases exercise the byte-level scan and
+// replay primitives on hand-built logs.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/atom_fs.h"
+#include "src/journal/checkpoint.h"
 #include "src/journal/wal.h"
-#include "src/util/rand.h"
+#include "src/txn/crash.h"
+#include "src/txn/txn.h"
+#include "tests/temp_journal.h"
 
 namespace atomfs {
 namespace {
 
-class TempLog {
- public:
-  explicit TempLog(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~TempLog() { std::remove(path_.c_str()); }
+TxnManager::Options JournalOptions(FileSystem* inner, const std::string& wal_path) {
+  TxnManager::Options o;
+  o.inner = inner;
+  o.wal_path = wal_path;
+  o.record_commit_log = true;
+  return o;
+}
 
-  const std::string& path() const { return path_; }
-
-  std::string Contents() const {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-
-  void Truncate(size_t bytes) const {
-    std::string data = Contents();
-    data.resize(std::min(bytes, data.size()));
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out << data;
-  }
-
- private:
-  std::string path_;
-};
-
-TEST(JournalFs, LogsMutationsNotReads) {
-  TempLog log("atomfs_journal_basic.log");
+TEST(DirectJournal, LogsMutationsNotReads) {
+  TempJournal log("atomfs_journal_basic.wal");
   AtomFs inner;
-  JournalFs fs(&inner, log.path());
+  TxnManager fs(JournalOptions(&inner, log.path()));
   EXPECT_TRUE(fs.Mkdir("/d").ok());
   EXPECT_TRUE(WriteString(fs, "/d/f", "x").ok());
   EXPECT_TRUE(fs.Stat("/d/f").ok());
   EXPECT_TRUE(fs.ReadDir("/d").ok());
   EXPECT_EQ(fs.Unlink("/d/missing").code(), Errc::kNoEnt);  // failed op: unlogged
-  // mkdir + (mknod + truncate-or-write from WriteString) logged; reads and
-  // the failed unlink are not.
-  EXPECT_EQ(fs.logged_ops(), 3u);
+  // mkdir + (mknod + write from WriteString) logged; reads and the failed
+  // unlink are not.
+  EXPECT_EQ(ScanWalBytes(log.Contents()).records.size(), 3u);
+  EXPECT_EQ(fs.commit_log().size(), 3u);
 }
 
-TEST(JournalFs, RecoverRebuildsFullState) {
-  TempLog log("atomfs_journal_recover.log");
+TEST(DirectJournal, RecoverRebuildsFullState) {
+  TempJournal log("atomfs_journal_recover.wal");
   AtomFs inner;
   {
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(JournalOptions(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(WriteString(fs, "/a/f", "hello journal").ok());
     ASSERT_TRUE(fs.Rename("/a/f", "/a/g").ok());
@@ -71,160 +57,141 @@ TEST(JournalFs, RecoverRebuildsFullState) {
     ASSERT_TRUE(fs.Exchange("/a", "/b").ok());
   }
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->wal.applied_ops, 6u);
+  EXPECT_EQ(stats->committed_units, 6u);
   EXPECT_TRUE(StructurallyEqual(inner.SnapshotSpec(), recovered.SnapshotSpec()));
   EXPECT_EQ(ReadString(recovered, "/b/g").value(), "hello journal");
 }
 
-TEST(JournalFs, RecoverMissingLog) {
+TEST(DirectJournal, RecoverMissingLog) {
+  TempJournal log("atomfs_journal_missing.wal");  // never written
   AtomFs fs;
-  EXPECT_EQ(JournalFs::Recover("/tmp/definitely_not_here.log", fs).status().code(),
-            Errc::kNoEnt);
+  EXPECT_EQ(RecoverJournal(log.path(), fs).status().code(), Errc::kNoEnt);
 }
 
-TEST(JournalFs, TornTailLineIsDropped) {
-  TempLog log("atomfs_journal_torn.log");
+TEST(DirectJournal, TornTailRecordIsDropped) {
+  TempJournal log("atomfs_journal_torn.wal");
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(JournalOptions(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(fs.Mkdir("/a/b").ok());
   }
-  // Simulate a crash mid-append: cut the last line in half.
-  const std::string full = log.Contents();
-  log.Truncate(full.size() - 4);
+  // Simulate a crash mid-append: cut the last record short.
+  log.Truncate(log.Contents().size() - 4);
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 1u);  // only the first mkdir survived
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->wal.torn_tail);
+  EXPECT_EQ(stats->committed_units, 1u);  // only the first mkdir survived
   EXPECT_TRUE(recovered.Stat("/a").ok());
   EXPECT_EQ(recovered.Stat("/a/b").status().code(), Errc::kNoEnt);
 }
 
 // Prefix consistency under arbitrary crash points: cut the log at every
-// byte offset and check the recovered state equals replaying some prefix of
-// the mutation history.
-TEST(JournalFs, CrashAtEveryOffsetIsPrefixConsistent) {
-  TempLog log("atomfs_journal_crashsweep.log");
-  std::vector<OpCall> mutations;
+// byte offset and check the recovered state is the commit log's prefix of
+// exactly the records that ended at or before the cut.
+TEST(DirectJournal, CrashAtEveryOffsetIsPrefixConsistent) {
+  TempJournal log("atomfs_journal_crashsweep.wal");
+  std::vector<CommitDescriptor> mutations;
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(JournalOptions(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/d").ok());
-    mutations.push_back(OpCall::MkdirOf(*ParsePath("/d")));
     ASSERT_TRUE(fs.Mknod("/d/f").ok());
-    mutations.push_back(OpCall::MknodOf(*ParsePath("/d/f")));
     std::vector<std::byte> payload{std::byte{'h'}, std::byte{'i'}};
     ASSERT_TRUE(fs.Write("/d/f", 0, std::span<const std::byte>(payload)).ok());
-    mutations.push_back(OpCall::WriteOf(*ParsePath("/d/f"), 0, payload));
     ASSERT_TRUE(fs.Rename("/d/f", "/d/g").ok());
-    mutations.push_back(OpCall::RenameOf(*ParsePath("/d/f"), *ParsePath("/d/g")));
-    ASSERT_TRUE(fs.Rmdir("/x").code() == Errc::kNoEnt || true);  // unlogged failure
+    ASSERT_EQ(fs.Rmdir("/x").code(), Errc::kNoEnt);  // unlogged failure
+    mutations = fs.commit_log();
   }
+  ASSERT_EQ(mutations.size(), 4u);
   const std::string full = log.Contents();
-
-  // Precompute the states after each prefix of the mutation list.
-  std::vector<SpecFs> prefix_states;
-  {
-    SpecFs state;
-    prefix_states.push_back(state);
-    for (const auto& call : mutations) {
-      ASSERT_TRUE(RunOp(state, call).status.ok());
-      prefix_states.push_back(state);
-    }
-  }
+  const WalScan scan = ScanWalBytes(full);
+  ASSERT_EQ(scan.records.size(), mutations.size());
 
   for (size_t cut = 0; cut <= full.size(); ++cut) {
-    {
-      std::ofstream out(log.path(), std::ios::binary | std::ios::trunc);
-      out << full.substr(0, cut);
+    TempJournal::WriteFile(log.path(), full.substr(0, cut));
+    uint64_t whole_records = 0;
+    while (whole_records < scan.records.size() && scan.records[whole_records].end_offset <= cut) {
+      ++whole_records;
     }
     AtomFs recovered;
-    auto count = JournalFs::Recover(log.path(), recovered);
-    ASSERT_TRUE(count.ok()) << "cut at " << cut;
-    ASSERT_LE(*count, mutations.size()) << "cut at " << cut;
-    EXPECT_TRUE(StructurallyEqual(recovered.SnapshotSpec(), prefix_states[*count]))
-        << "cut at " << cut << " recovered " << *count;
+    auto stats = RecoverJournal(log.path(), recovered);
+    ASSERT_TRUE(stats.ok()) << "cut at " << cut;
+    ASSERT_EQ(stats->committed_units, whole_records) << "cut at " << cut;
+    EXPECT_TRUE(StructurallyEqual(recovered.SnapshotSpec(), PrefixState(mutations, whole_records)))
+        << "cut at " << cut << " recovered " << whole_records;
   }
 }
 
-TEST(JournalFs, ConcurrentMutationsAllRecovered) {
-  TempLog log("atomfs_journal_concurrent.log");
+TEST(DirectJournal, ConcurrentMutationsAllRecovered) {
+  TempJournal log("atomfs_journal_concurrent.wal");
   AtomFs inner;
   {
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(JournalOptions(&inner, log.path()));
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&fs, t] {
         for (int i = 0; i < 50; ++i) {
-          fs.Mkdir("/t" + std::to_string(t) + "_" + std::to_string(i));
+          EXPECT_TRUE(fs.Mkdir("/t" + std::to_string(t) + "_" + std::to_string(i)).ok());
         }
       });
     }
     for (auto& th : threads) {
       th.join();
     }
-    EXPECT_EQ(fs.logged_ops(), 200u);
+    EXPECT_EQ(fs.commit_log().size(), 200u);
   }
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 200u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, 200u);
   EXPECT_TRUE(StructurallyEqual(inner.SnapshotSpec(), recovered.SnapshotSpec()));
 }
 
-TEST(JournalFs, EmptyJournalRecoversEmptyState) {
-  TempLog log("atomfs_journal_empty.log");
-  {
-    std::ofstream out(log.path(), std::ios::binary);  // zero-byte file
-  }
+TEST(DirectJournal, EmptyJournalRecoversEmptyState) {
+  TempJournal log("atomfs_journal_empty.wal");
+  TempJournal::WriteFile(log.path(), "");  // zero-byte file
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 0u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, 0u);
   EXPECT_TRUE(StructurallyEqual(recovered.SnapshotSpec(), SpecFs{}));
 }
 
-TEST(JournalFs, TornRecordHeaderIsDropped) {
-  TempLog log("atomfs_journal_torn_header.log");
+// Two committed mkdirs, then the second record cut `extra` bytes past the
+// first record's end; recovery must keep exactly the first.
+void ExpectSecondRecordDropped(const TempJournal& log, size_t extra) {
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(JournalOptions(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(fs.Mkdir("/b").ok());
   }
   const WalScan scan = ScanWalBytes(log.Contents());
   ASSERT_EQ(scan.records.size(), 2u);
-  // Crash mid-append of the second record's fixed header.
-  log.Truncate(scan.records[0].end_offset + kWalHeaderBytes / 2);
+  log.Truncate(scan.records[0].end_offset + extra);
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 1u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, 1u);
   EXPECT_TRUE(recovered.Stat("/a").ok());
   EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
 }
 
-TEST(JournalFs, TornRecordPayloadIsDropped) {
-  TempLog log("atomfs_journal_torn_payload.log");
-  {
-    AtomFs inner;
-    JournalFs fs(&inner, log.path());
-    ASSERT_TRUE(fs.Mkdir("/a").ok());
-    ASSERT_TRUE(fs.Mkdir("/b").ok());
-  }
-  const WalScan scan = ScanWalBytes(log.Contents());
-  ASSERT_EQ(scan.records.size(), 2u);
+TEST(DirectJournal, TornRecordHeaderIsDropped) {
+  TempJournal log("atomfs_journal_torn_header.wal");
+  // Crash mid-append of the second record's fixed header.
+  ExpectSecondRecordDropped(log, kWalHeaderBytes / 2);
+}
+
+TEST(DirectJournal, TornRecordPayloadIsDropped) {
+  TempJournal log("atomfs_journal_torn_payload.wal");
   // Header intact, payload cut short: the length check must reject it.
-  log.Truncate(scan.records[0].end_offset + kWalHeaderBytes + 2);
-  AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 1u);
-  EXPECT_TRUE(recovered.Stat("/a").ok());
-  EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
+  ExpectSecondRecordDropped(log, kWalHeaderBytes + 2);
 }
 
 TEST(Wal, ChecksumRejectsBitFlip) {
@@ -285,24 +252,28 @@ TEST(Wal, AbortedTxnIsNeverVisible) {
   EXPECT_TRUE(fs.Stat("/after").ok());
 }
 
-TEST(JournalFs, ReopenAppendsToExistingLog) {
-  TempLog log("atomfs_journal_reopen.log");
-  AtomFs inner1;
+TEST(DirectJournal, ReopenAppendsToExistingLog) {
+  TempJournal log("atomfs_journal_reopen.wal");
   {
-    JournalFs fs(&inner1, log.path());
+    AtomFs inner1;
+    TxnManager fs(JournalOptions(&inner1, log.path()));
     ASSERT_TRUE(fs.Mkdir("/first").ok());
   }
   // "Remount": recover into a fresh FS, keep journaling to the same log.
   AtomFs inner2;
-  ASSERT_TRUE(JournalFs::Recover(log.path(), inner2).ok());
+  auto reopened = RecoverJournal(log.path(), inner2, /*repair=*/true);
+  ASSERT_TRUE(reopened.ok());
   {
-    JournalFs fs(&inner2, log.path());
+    TxnManager::Options o = JournalOptions(&inner2, log.path());
+    o.initial = inner2.SnapshotSpec();
+    o.recovered = &*reopened;
+    TxnManager fs(o);
     ASSERT_TRUE(fs.Mkdir("/second").ok());
   }
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 2u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, 2u);
   EXPECT_TRUE(recovered.Stat("/first").ok());
   EXPECT_TRUE(recovered.Stat("/second").ok());
 }

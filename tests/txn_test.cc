@@ -9,16 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "src/core/atom_fs.h"
-#include "src/journal/wal.h"
+#include "src/journal/checkpoint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/vfs/path.h"
+#include "tests/temp_journal.h"
 
 namespace atomfs {
 namespace {
@@ -36,23 +34,6 @@ std::vector<std::byte> Bytes(const std::string& s) {
   }
   return out;
 }
-
-class TempLog {
- public:
-  explicit TempLog(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~TempLog() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-  std::string Contents() const {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-
- private:
-  std::string path_;
-};
 
 TxnManager::Options BareOptions(FileSystem* inner) {
   TxnManager::Options o;
@@ -165,7 +146,7 @@ TEST(Txn, DisjointTransactionsBothCommit) {
 }
 
 TEST(Txn, ReadOnlyTransactionCommitsWithoutJournaling) {
-  TempLog log("atomfs_txn_readonly.wal");
+  TempJournal log("atomfs_txn_readonly.wal");
   AtomFs fs;
   TxnManager::Options o = BareOptions(&fs);
   o.wal_path = log.path();
@@ -199,7 +180,7 @@ TEST(Txn, CommitLogRecordsUnitsInCommitOrder) {
 }
 
 TEST(Txn, WalRecoveryReplaysCommittedHistory) {
-  TempLog log("atomfs_txn_recovery.wal");
+  TempJournal log("atomfs_txn_recovery.wal");
   AtomFs original;
   {
     TxnManager::Options o = BareOptions(&original);
@@ -218,10 +199,10 @@ TEST(Txn, WalRecoveryReplaysCommittedHistory) {
     // `open` crashes un-committed with the manager.
   }
   AtomFs recovered;
-  auto stats = RecoverWal(log.path(), recovered);
+  auto stats = RecoverJournal(log.path(), recovered);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->committed, 2u);  // the direct mkdir + the committed txn
-  EXPECT_EQ(stats->applied_ops, 3u);
+  EXPECT_EQ(stats->committed_units, 2u);  // the direct mkdir + the committed txn
+  EXPECT_EQ(stats->wal.applied_ops, 3u);
   EXPECT_TRUE(StructurallyEqual(original.SnapshotSpec(), recovered.SnapshotSpec()));
   EXPECT_EQ(ReadString(recovered, "/d/f").value(), "durable");
   EXPECT_EQ(recovered.Stat("/d/never").status().code(), Errc::kNoEnt);
@@ -290,7 +271,7 @@ TEST(Txn, UnknownIdsAnswerInval) {
 // successful commit must be fully visible and the final state must equal the
 // commit log replayed in order.
 TEST(Txn, ConcurrentCommitStressStaysSerializable) {
-  TempLog log("atomfs_txn_stress.wal");
+  TempJournal log("atomfs_txn_stress.wal");
   AtomFs fs;
   TxnManager::Options o = BareOptions(&fs);
   o.wal_path = log.path();
@@ -335,7 +316,7 @@ TEST(Txn, ConcurrentCommitStressStaysSerializable) {
   EXPECT_EQ(txn.open_txns(), 0u);
   // Durability: recovery from the stress WAL reproduces the final state.
   AtomFs recovered;
-  auto stats = RecoverWal(log.path(), recovered);
+  auto stats = RecoverJournal(log.path(), recovered);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(StructurallyEqual(fs.SnapshotSpec(), recovered.SnapshotSpec()));
 }

@@ -8,38 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "src/core/atom_fs.h"
-#include "src/journal/journal_fs.h"
+#include "src/journal/checkpoint.h"
 #include "src/journal/wal.h"
 #include "src/txn/crash.h"
 #include "src/txn/txn.h"
+#include "tests/temp_journal.h"
 
 namespace atomfs {
 namespace {
-
-class TempLog {
- public:
-  explicit TempLog(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~TempLog() { std::remove(path_.c_str()); }
-
-  const std::string& path() const { return path_; }
-
-  std::string Contents() const {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-
- private:
-  std::string path_;
-};
 
 // Arms the fault after `healthy_writes` successful writes, then fails every
 // write with `err`. Returned by reference so tests can re-arm / disarm.
@@ -60,7 +39,7 @@ WalWriterOptions FaultAfter(FaultPlan* plan, size_t short_bytes = 0) {
 }
 
 TEST(WalFault, FlushFailurePoisonsTheWriter) {
-  TempLog log("atomfs_fault_poison.wal");
+  TempJournal log("atomfs_fault_poison.wal");
   FaultPlan plan{/*healthy_writes=*/0, /*err=*/ENOSPC};
   WalWriter w(log.path(), FaultAfter(&plan));
   ASSERT_TRUE(w.ok());
@@ -78,7 +57,7 @@ TEST(WalFault, FlushFailurePoisonsTheWriter) {
 }
 
 TEST(WalFault, TornShortWriteLeavesRecoverablePrefix) {
-  TempLog log("atomfs_fault_torn.wal");
+  TempJournal log("atomfs_fault_torn.wal");
   {
     FaultPlan plan{/*healthy_writes=*/1, /*err=*/EIO};
     // The failing write lands 7 bytes of the record before dying — a torn
@@ -91,45 +70,16 @@ TEST(WalFault, TornShortWriteLeavesRecoverablePrefix) {
   }
   // Recovery reads the clean prefix and rejects the torn bytes.
   AtomFs recovered;
-  const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
-  EXPECT_EQ(stats.applied_ops, 1u);
-  EXPECT_TRUE(stats.torn_tail);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->wal.applied_ops, 1u);
+  EXPECT_TRUE(stats->wal.torn_tail);
   EXPECT_TRUE(recovered.Stat("/kept").ok());
   EXPECT_EQ(recovered.Stat("/lost").status().code(), Errc::kNoEnt);
 }
 
-TEST(WalFault, JournalFsSurfacesEioAndFailStops) {
-  TempLog log("atomfs_fault_journalfs.wal");
-  AtomFs inner;
-  FaultPlan plan{/*healthy_writes=*/1, /*err=*/ENOSPC};
-  JournalFs::Options opts;
-  opts.wal = FaultAfter(&plan);
-  JournalFs fs(&inner, log.path(), opts);
-  ASSERT_TRUE(fs.Mkdir("/a").ok());
-  EXPECT_FALSE(fs.failed());
-  // The op ran on the inner FS but its record never reached the log: the
-  // caller must hear about the durability failure.
-  EXPECT_EQ(fs.Mkdir("/b").code(), Errc::kIo);
-  EXPECT_TRUE(fs.failed());
-  // Fail-stopped: nothing further mutates, not even ops that would succeed.
-  EXPECT_EQ(fs.Mkdir("/c").code(), Errc::kIo);
-  EXPECT_EQ(fs.Unlink("/a").code(), Errc::kIo);
-  std::vector<std::byte> data{std::byte{'x'}};
-  EXPECT_EQ(fs.Write("/a", 0, std::span<const std::byte>(data)).status().code(), Errc::kIo);
-  // Reads still pass through — the backend state is intact, only durability
-  // is gone.
-  EXPECT_TRUE(fs.Stat("/a").ok());
-  // Recovery of what did reach the disk yields exactly the acknowledged op.
-  AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 1u);
-  EXPECT_TRUE(recovered.Stat("/a").ok());
-  EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
-}
-
 TEST(WalFault, FailedCommitAppliesNothingAndFailStops) {
-  TempLog log("atomfs_fault_commit.wal");
+  TempJournal log("atomfs_fault_commit.wal");
   AtomFs inner;
   // One write(2) per committed unit (the commit-point flush): the first
   // unit lands, the second dies.
@@ -165,14 +115,15 @@ TEST(WalFault, FailedCommitAppliesNothingAndFailStops) {
   const std::vector<CommitDescriptor> commit_log = txn.commit_log();
   ASSERT_EQ(commit_log.size(), 1u);
   AtomFs recovered;
-  const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
-  EXPECT_EQ(stats.committed, commit_log.size());
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, commit_log.size());
   EXPECT_TRUE(StructurallyEqual(recovered.SnapshotSpec(),
                                 PrefixState(commit_log, commit_log.size())));
 }
 
 TEST(WalFault, DirectOpLogFailureSurfacesEio) {
-  TempLog log("atomfs_fault_direct.wal");
+  TempJournal log("atomfs_fault_direct.wal");
   AtomFs inner;
   FaultPlan plan{/*healthy_writes=*/1, /*err=*/ENOSPC};
   TxnManager::Options topt;
@@ -181,18 +132,35 @@ TEST(WalFault, DirectOpLogFailureSurfacesEio) {
   topt.wal = FaultAfter(&plan);
   TxnManager txn(topt);
   ASSERT_TRUE(txn.Mkdir("/ok").ok());
-  EXPECT_EQ(txn.Mkdir("/doomed").code(), Errc::kIo);
+  ASSERT_EQ(WriteString(txn, "/ok/f", "data").code(), Errc::kIo);
   EXPECT_TRUE(txn.journal_failed());
-  // Recovery sees only the acknowledged unit.
+  // The mknod ran on the inner FS but its record never reached the log: the
+  // caller heard kIo, and the one-op divergence stays in memory only.
+  EXPECT_TRUE(inner.Stat("/ok/f").ok());
+  // Fail-stopped: nothing further mutates, not even ops that would succeed.
+  EXPECT_EQ(txn.Mkdir("/doomed").code(), Errc::kIo);
+  EXPECT_EQ(txn.Unlink("/ok/f").code(), Errc::kIo);
+  std::vector<std::byte> data{std::byte{'x'}};
+  EXPECT_EQ(txn.Write("/ok/f", 0, std::span<const std::byte>(data)).status().code(), Errc::kIo);
+  EXPECT_EQ(txn.Truncate("/ok/f", 0).code(), Errc::kIo);
+  EXPECT_EQ(inner.Stat("/doomed").status().code(), Errc::kNoEnt);
+  // Reads still pass through — the backend state is intact, only durability
+  // is gone.
+  EXPECT_TRUE(txn.Stat("/ok").ok());
+  EXPECT_TRUE(txn.ReadDir("/ok").ok());
+  std::byte buf[4];
+  EXPECT_TRUE(txn.Read("/ok/f", 0, std::span<std::byte>(buf)).ok());
+  // Recovery of what did reach the disk yields exactly the acknowledged op.
   AtomFs recovered;
-  const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
-  EXPECT_EQ(stats.committed, 1u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, 1u);
   EXPECT_TRUE(recovered.Stat("/ok").ok());
-  EXPECT_EQ(recovered.Stat("/doomed").status().code(), Errc::kNoEnt);
+  EXPECT_EQ(recovered.Stat("/ok/f").status().code(), Errc::kNoEnt);
 }
 
 TEST(WalFault, FsyncCommitsCountsFsyncsAndPropagatesFailure) {
-  TempLog log("atomfs_fault_fsync.wal");
+  TempJournal log("atomfs_fault_fsync.wal");
   AtomFs inner;
   TxnManager::Options topt;
   topt.inner = &inner;
@@ -202,8 +170,9 @@ TEST(WalFault, FsyncCommitsCountsFsyncsAndPropagatesFailure) {
   ASSERT_TRUE(txn.Mkdir("/durable").ok());
   EXPECT_FALSE(txn.journal_failed());
   AtomFs recovered;
-  const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
-  EXPECT_EQ(stats.committed, 1u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->committed_units, 1u);
   EXPECT_TRUE(recovered.Stat("/durable").ok());
 }
 

@@ -322,9 +322,7 @@ int main(int argc, char** argv) {
     topt.checkpoint_bytes = checkpoint_bytes;
     topt.checkpoint_units = checkpoint_units;
     if (recovered.ok()) {
-      topt.first_txid = recovered->max_txid + 1;
-      topt.first_ckpt_id = recovered->generation + 1;
-      topt.recovered_units = recovered->committed_units;
+      topt.recovered = &*recovered;
     }
     txn = std::make_unique<TxnManager>(std::move(topt));
   }
